@@ -6,13 +6,16 @@
 // for a given seed. Everything above it — links, switches, RNICs, the Cepheus
 // accelerator — is built as callbacks on this engine.
 //
-// The scheduler is allocation-free on its hot paths: events are pointer-free
-// key records in a hand-rolled 4-ary heap (payloads live in a recycled slot
-// arena, so sifting triggers no GC write barriers), the typed
-// Handler dispatch path carries a receiver plus argument without building a
-// closure per event, and Timers own a single heap slot that Reset re-arms and
-// Stop removes in place — arming and cancelling schedules no garbage. See
-// DESIGN.md §8 for the internals.
+// The scheduler is allocation-free on its hot paths. Events sharing a
+// timestamp form FIFO chains, and a hand-rolled 4-ary heap holds one
+// pointer-free key per chain: payloads live in a recycled slot arena, so
+// sifting triggers no GC write barriers, and replicated packet trains that
+// fire in lockstep on many ports cost one key between them instead of one
+// each. Dispatching a chain's head hands its key to the next event in place,
+// with no sift. The typed Handler dispatch path carries a receiver plus
+// argument without building a closure per event, and a Timer owns a single
+// slot that Reset re-arms and Stop removes in place — arming and cancelling
+// schedules no garbage. See DESIGN.md §8 for the internals.
 package sim
 
 import (
@@ -61,10 +64,9 @@ type Handler interface {
 	OnEvent(e *Engine, arg any)
 }
 
-// event is one heap key: the ordering fields plus the index of the payload
-// slot. Keys are deliberately pointer-free so sifting them around the heap
-// copies 24 bytes with no GC write barriers — the single hottest operation
-// in the simulator.
+// event is one heap key: a chain's timestamp plus the seq and payload slot
+// of the chain's head, its earliest event. Keys are deliberately pointer-free
+// so sifting them around the heap copies 24 bytes with no GC write barriers.
 type event struct {
 	at   Time
 	seq  uint64 // tie-break: FIFO among equal timestamps
@@ -79,16 +81,25 @@ func (ev *event) before(other *event) bool {
 	return ev.seq < other.seq
 }
 
-// eslot is one scheduled callback's payload, parked outside the heap so heap
-// moves never touch pointers. Exactly one of fn, h, or tm is set: fn is the
-// closure path, h the typed-handler path, tm a Timer's slot (the timer tracks
-// its slot index so Stop/Reset can find its heap key in O(1) via heap).
+// funcHandler runs a Schedule closure through the Handler path. A func value
+// is pointer-shaped, so storing one in the interface allocates nothing.
+type funcHandler func()
+
+func (f funcHandler) OnEvent(*Engine, any) { f() }
+
+// eslot is one scheduled event: its callback, its schedule order, and its
+// links in the chain of events that share its timestamp. Exactly one of h or
+// tm is set: h the handler path (closures included, as funcHandler), tm a
+// Timer's slot (the timer tracks its slot index so Stop/Reset find it in
+// O(1)). The record is 64 bytes.
 type eslot struct {
-	fn   func()
 	h    Handler
 	arg  any
 	tm   *Timer
-	heap int32 // current heap index of this slot's key
+	seq  uint64
+	prev int32 // previous slot in the chain, -1 at the head
+	next int32 // next slot in the chain, -1 at the tail
+	heap int32 // heap index of the chain's key; meaningful at the head only
 }
 
 // Engine is a single-threaded discrete-event scheduler with a seeded RNG.
@@ -101,12 +112,19 @@ type eslot struct {
 type Engine struct {
 	now     Time
 	seq     uint64
-	events  []event // 4-ary min-heap of pointer-free key records
-	slots   []eslot // payload arena, indexed by event.slot
+	events  []event // 4-ary min-heap of chain keys
+	slots   []eslot // event arena, indexed by event.slot and chain links
 	free    []int32 // recycled slot indices
 	rng     *rand.Rand
 	stopped bool
 	nRun    uint64
+	credit  uint64 // the part of nRun that Credit added
+	nPush   uint64 // keys placed in the heap by place
+
+	// The newest chain of timestamp lastAt ends at slot lastTail (-1: no
+	// chain cached). New events at lastAt join it instead of pushing a key.
+	lastAt   Time
+	lastTail int32
 
 	// Parallel-execution identity: nil/0 for a standalone engine.
 	par *Parallel
@@ -138,7 +156,7 @@ type Engine struct {
 // New returns an engine whose RNG is seeded with seed. Two engines built with
 // the same seed and driven by the same code execute identical schedules.
 func New(seed int64) *Engine {
-	return &Engine{rng: rand.New(rand.NewSource(seed))}
+	return &Engine{rng: rand.New(rand.NewSource(seed)), lastTail: -1}
 }
 
 // Now returns the current virtual time.
@@ -156,12 +174,28 @@ func (e *Engine) EventsRun() uint64 { return e.nRun }
 // serialization-complete timer plus n arrivals, but each frame still
 // represents the two per-frame events (tx done, delivery) the vector path
 // replaced, so the train credits the difference.
-func (e *Engine) Credit(n uint64) { e.nRun += n }
+func (e *Engine) Credit(n uint64) {
+	e.nRun += n
+	e.credit += n
+}
+
+// Dispatches reports how many callbacks have run so far: EventsRun without
+// the Credit share.
+func (e *Engine) Dispatches() uint64 { return e.nRun - e.credit }
+
+// KeysPushed reports how many keys have been sifted into the event heap so
+// far: one per event that found no chain of its timestamp to join, plus one
+// per lone timer re-keyed in place. Unlike wall-clock throughput it is exact
+// for a given seed, so tests can bound heap work per dispatch.
+func (e *Engine) KeysPushed() uint64 { return e.nPush }
 
 // Pending reports how many events are currently scheduled, including
 // barrier-injected cross-LP slab messages not yet consumed. Stopped timers do
-// not linger here: cancelling removes the heap entry immediately.
-func (e *Engine) Pending() int { return len(e.events) + (len(e.slab) - e.slabIdx) }
+// not linger here: cancelling frees the slot immediately, and every slot not
+// on the free list holds one queued event.
+func (e *Engine) Pending() int {
+	return len(e.slots) - len(e.free) + (len(e.slab) - e.slabIdx)
+}
 
 // LP returns this engine's logical-process index within a Parallel run
 // (0 for a standalone engine).
@@ -183,11 +217,21 @@ func (e *Engine) NextEventTime() (Time, bool) {
 	return t, ok
 }
 
-// ---- 4-ary heap of pointer-free key records ----
+// ---- Event chains behind a 4-ary heap ----
+//
+// Events that share a timestamp form FIFO chains, doubly linked through
+// their slots, and the heap holds one key per chain: the chain's timestamp
+// and its head's (seq, slot). seq only grows, so append order within a chain
+// is (at, seq) order and the head is the chain's earliest event. A new event
+// joins the chain the (lastAt, lastTail) cache names — by construction the
+// newest chain of its timestamp — or else pushes a key of its own. Every event
+// of an older chain of a timestamp therefore precedes every event of a newer
+// one, and when a head leaves, its successor takes over the key in place: the
+// same at and a larger seq, still ahead of any newer chain's key, so the heap
+// needs no sift.
 //
 // A 4-ary layout halves the tree depth of a binary heap and keeps children in
-// one cache line, which is where a discrete-event simulator spends its time.
-// Children of i are 4i+1..4i+4; parent of i is (i-1)/4.
+// one cache line. Children of i are 4i+1..4i+4; parent of i is (i-1)/4.
 
 // allocSlot returns a free payload slot, recycling before growing.
 func (e *Engine) allocSlot() int32 {
@@ -207,14 +251,14 @@ func (e *Engine) freeSlot(s int32) {
 	e.free = append(e.free, s)
 }
 
-// setEvent writes key ev into heap position i, maintaining the payload's
+// setEvent writes key ev into heap position i, maintaining the head's
 // back-pointer.
 func (e *Engine) setEvent(i int, ev event) {
 	e.events[i] = ev
 	e.slots[ev.slot].heap = int32(i)
 }
 
-// siftUp moves the event at slot i toward the root until ordered.
+// siftUp moves the key at position i toward the root until ordered.
 func (e *Engine) siftUp(i int) {
 	ev := e.events[i]
 	for i > 0 {
@@ -228,7 +272,7 @@ func (e *Engine) siftUp(i int) {
 	e.setEvent(i, ev)
 }
 
-// siftDown moves the event at slot i toward the leaves until ordered.
+// siftDown moves the key at position i toward the leaves until ordered.
 func (e *Engine) siftDown(i int) {
 	n := len(e.events)
 	ev := e.events[i]
@@ -256,67 +300,107 @@ func (e *Engine) siftDown(i int) {
 	e.setEvent(i, ev)
 }
 
-// push inserts ev into the heap.
-func (e *Engine) push(ev event) {
-	e.events = append(e.events, ev)
-	e.siftUp(len(e.events) - 1)
+// place writes key ev at heap position i, appending a new key when i is
+// len(e.events), and sifts it into order. Every key enters the heap's order
+// here, which is what KeysPushed counts.
+func (e *Engine) place(i int, ev event) {
+	e.nPush++
+	if i == len(e.events) {
+		e.events = append(e.events, ev)
+		e.siftUp(i)
+		return
+	}
+	e.replace(i, ev)
 }
 
-// pop removes the earliest event, returning its timestamp and payload. The
-// payload slot is recycled before the caller dispatches, so a callback that
-// schedules immediately reuses the slot it just vacated.
-func (e *Engine) pop() (Time, eslot) {
-	top := e.events[0]
-	n := len(e.events) - 1
-	if n > 0 {
-		e.setEvent(0, e.events[n])
-	}
-	e.events = e.events[:n] // keys hold no pointers; no need to zero
-	if n > 1 {
-		e.siftDown(0)
-	}
-	sl := e.slots[top.slot]
-	if sl.tm != nil {
-		sl.tm.slot = -1
-	}
-	e.freeSlot(top.slot)
-	return top.at, sl
-}
-
-// remove deletes the event at heap position i (a cancelled timer's entry).
-func (e *Engine) remove(i int) {
-	s := e.events[i].slot
-	if tm := e.slots[s].tm; tm != nil {
-		tm.slot = -1
-	}
-	e.freeSlot(s)
-	n := len(e.events) - 1
-	moved := e.events[n]
-	e.events = e.events[:n]
-	if i < n {
-		e.setEvent(i, moved)
+// replace overwrites the key at heap position i with ev and restores order. A
+// later key can only move down and an earlier one only up, so one sift runs.
+func (e *Engine) replace(i int, ev event) {
+	if e.events[i].before(&ev) {
+		e.events[i] = ev
 		e.siftDown(i)
+	} else {
+		e.events[i] = ev
 		e.siftUp(i)
 	}
 }
 
-// schedule validates the timestamp, parks the payload in a slot, and pushes
-// its key.
-func (e *Engine) schedule(at Time, fn func(), h Handler, arg any) {
+// cached reports whether the cache names a chain of timestamp at.
+func (e *Engine) cached(at Time) bool { return e.lastTail >= 0 && e.lastAt == at }
+
+// insert stamps slot s with the next seq and queues it at time at: at the
+// tail of the cached chain if that chain's timestamp is at, else as the sole
+// event of a new chain with its own heap key. Either way s ends the newest
+// chain of at, so the cache moves to it.
+func (e *Engine) insert(at Time, s int32) {
+	e.seq++
+	sl := &e.slots[s]
+	sl.seq, sl.next = e.seq, -1
+	if e.cached(at) {
+		sl.prev = e.lastTail
+		e.slots[e.lastTail].next = s
+	} else {
+		sl.prev = -1
+		e.place(len(e.events), event{at: at, seq: e.seq, slot: s})
+	}
+	e.lastAt, e.lastTail = at, s
+}
+
+// unlink takes slot s out of its chain without freeing it. A middle or tail
+// event just splices out; a head with a successor hands it the key in place;
+// a lone head's key leaves the heap.
+func (e *Engine) unlink(s int32) {
+	sl := &e.slots[s]
+	if s == e.lastTail {
+		e.lastTail = sl.prev
+	}
+	if sl.prev >= 0 {
+		e.slots[sl.prev].next = sl.next
+		if sl.next >= 0 {
+			e.slots[sl.next].prev = sl.prev
+		}
+		return
+	}
+	i := int(sl.heap)
+	if nx := sl.next; nx >= 0 {
+		head := &e.slots[nx]
+		head.prev, head.heap = -1, int32(i)
+		e.events[i].seq, e.events[i].slot = head.seq, nx
+		return
+	}
+	n := len(e.events) - 1
+	moved := e.events[n]
+	e.events = e.events[:n] // keys hold no pointers; no need to zero
+	if i < n {
+		e.replace(i, moved)
+	}
+}
+
+// drop removes slot s from the queue and recycles it, disarming its timer.
+func (e *Engine) drop(s int32) {
+	e.unlink(s)
+	if tm := e.slots[s].tm; tm != nil {
+		tm.slot = -1
+	}
+	e.freeSlot(s)
+}
+
+// schedule validates the timestamp, parks the payload in a slot, and queues
+// it.
+func (e *Engine) schedule(at Time, h Handler, arg any) {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: schedule at %v before now %v", at, e.now))
 	}
-	e.seq++
 	s := e.allocSlot()
 	sl := &e.slots[s]
-	sl.fn, sl.h, sl.arg = fn, h, arg
-	e.push(event{at: at, seq: e.seq, slot: s})
+	sl.h, sl.arg = h, arg
+	e.insert(at, s)
 }
 
 // Schedule runs fn at absolute time at. It panics if at precedes Now, since a
 // causal model can never schedule into the past.
 func (e *Engine) Schedule(at Time, fn func()) {
-	e.schedule(at, fn, nil, nil)
+	e.schedule(at, funcHandler(fn), nil)
 }
 
 // After runs fn d nanoseconds from now. A negative d panics via Schedule.
@@ -326,7 +410,7 @@ func (e *Engine) After(d Time, fn func()) { e.Schedule(e.now+d, fn) }
 // Schedule, it allocates nothing when h and arg hold pointers — the typed
 // path per-packet machinery (ports, QPs) uses on every hop.
 func (e *Engine) ScheduleHandler(at Time, h Handler, arg any) {
-	e.schedule(at, nil, h, arg)
+	e.schedule(at, h, arg)
 }
 
 // AfterHandler runs h.OnEvent(e, arg) d nanoseconds from now.
@@ -335,9 +419,12 @@ func (e *Engine) AfterHandler(d Time, h Handler, arg any) {
 }
 
 // Timer is a cancellable, re-armable scheduled callback. A timer owns at most
-// one heap slot: Reset re-arms it in place and Stop removes it immediately,
+// one event slot: Reset re-arms it in place and Stop removes it immediately,
 // so arm/cancel churn (RoCE retransmission timers, DCQCN rate timers) neither
 // allocates nor strands dead entries in the scheduler until their deadline.
+// Each arm takes one fresh seq and moves the slot to the tail of the newest
+// chain of its deadline — or, when the timer is alone in its chain and no
+// chain of the new deadline is cached, re-keys its heap entry in place.
 // Construct with Engine.NewTimer (reusable across arms) or Engine.AfterTimer.
 type Timer struct {
 	eng   *Engine
@@ -361,8 +448,8 @@ func (e *Engine) AfterTimer(d Time, fn func()) *Timer {
 }
 
 // Reset (re-)arms the timer to fire d nanoseconds from now, whether it is
-// pending, stopped, or already fired. A pending timer's heap slot is moved in
-// place; no new entry is created.
+// pending, stopped, or already fired. A pending timer keeps its slot; no new
+// entry is created.
 func (t *Timer) Reset(d Time) {
 	e := t.eng
 	at := e.now + d
@@ -370,19 +457,26 @@ func (t *Timer) Reset(d Time) {
 		panic(fmt.Sprintf("sim: timer reset at %v before now %v", at, e.now))
 	}
 	t.fired = false
-	e.seq++
-	if t.slot >= 0 {
-		i := int(e.slots[t.slot].heap)
-		e.events[i].at = at
-		e.events[i].seq = e.seq
-		e.siftDown(i)
-		e.siftUp(i)
+	s := t.slot
+	if s < 0 {
+		s = e.allocSlot()
+		e.slots[s].tm = t
+		t.slot = s
+		e.insert(at, s)
 		return
 	}
-	s := e.allocSlot()
-	e.slots[s].tm = t
-	t.slot = s
-	e.push(event{at: at, seq: e.seq, slot: s})
+	sl := &e.slots[s]
+	if sl.prev < 0 && sl.next < 0 && (e.lastTail == s || !e.cached(at)) {
+		// Alone, with no other chain to join: re-key in place. The fresh
+		// seq makes this the newest chain of at.
+		e.seq++
+		sl.seq = e.seq
+		e.place(int(sl.heap), event{at: at, seq: e.seq, slot: s})
+		e.lastAt, e.lastTail = at, s
+		return
+	}
+	e.unlink(s)
+	e.insert(at, s)
 }
 
 // Stop cancels the timer if it is pending, removing its entry from the
@@ -392,7 +486,7 @@ func (t *Timer) Stop() bool {
 	if t.slot < 0 {
 		return false
 	}
-	t.eng.remove(int(t.eng.slots[t.slot].heap))
+	t.eng.drop(t.slot)
 	return true
 }
 
@@ -409,8 +503,9 @@ func (t *Timer) Fired() bool { return t.fired }
 // than the heap top dispatches straight from the slab — no heap traffic at
 // all. A timer at the heap top dispatches in place: if its callback re-arms
 // it (the dominant pattern for port serialization chains and QP pacers),
-// Reset re-keys the existing entry and the fire costs one sift instead of a
-// pop/push pair plus slot churn.
+// Reset moves the existing slot instead of a free/alloc pair. Any other head
+// leaves before its callback runs, so a callback that schedules immediately
+// reuses the slot it just vacated.
 func (e *Engine) Step() bool {
 	if e.stopped {
 		return false
@@ -432,27 +527,23 @@ func (e *Engine) Step() bool {
 		return false
 	}
 	top := e.events[0]
+	e.now = top.at
+	e.nRun++
 	if tm := e.slots[top.slot].tm; tm != nil {
-		e.now = top.at
-		e.nRun++
 		tm.fired = true
 		tm.fn()
 		if tm.slot == top.slot && tm.fired {
 			// Neither Reset (clears fired; may recycle the same slot) nor
-			// Stop (clears slot) ran in the callback: retire the entry. The
-			// back-pointer finds it even if other heap traffic moved the key.
-			e.remove(int(e.slots[top.slot].heap))
+			// Stop (clears slot) ran in the callback: retire the entry,
+			// which still heads its chain.
+			e.drop(top.slot)
 		}
 		return true
 	}
-	at, sl := e.pop()
-	e.now = at
-	e.nRun++
-	if sl.h != nil {
-		sl.h.OnEvent(e, sl.arg)
-	} else {
-		sl.fn()
-	}
+	h, arg := e.slots[top.slot].h, e.slots[top.slot].arg
+	e.unlink(top.slot)
+	e.freeSlot(top.slot)
+	h.OnEvent(e, arg)
 	return true
 }
 

@@ -78,3 +78,39 @@ func BenchmarkHandlerDispatch(b *testing.B) {
 type nopHandler struct{}
 
 func (*nopHandler) OnEvent(*Engine, any) {}
+
+// holdTimers is about the number of events pending on a k=8 fat-tree while
+// one 1 MiB broadcast replicates to 65 members: nearly all of them port
+// serialization timers that re-arm themselves when they fire.
+const holdTimers = 208
+
+// benchHold is the classic hold model over self-re-arming timers: timer i
+// first fires at offset(i), then every period(i). One op is one fire plus
+// its re-arm.
+func benchHold(b *testing.B, period, offset func(i int) Time) {
+	e := New(1)
+	for i := 0; i < holdTimers; i++ {
+		var t *Timer
+		d := period(i)
+		t = e.NewTimer(func() { t.Reset(d) })
+		t.Reset(offset(i))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Step()
+	}
+}
+
+// BenchmarkTimerHoldTies shares one 144 ns period, staggered into 16 phases,
+// so the pending timers sit on ~17 distinct deadlines: the lockstep shape of
+// replicated packet trains.
+func BenchmarkTimerHoldTies(b *testing.B) {
+	benchHold(b, func(int) Time { return 144 }, func(i int) Time { return Time(i%16) * 9 })
+}
+
+// BenchmarkTimerHoldDistinct gives every timer its own period, so almost no
+// two deadlines tie: the cost of the queue when there is nothing to chain.
+func BenchmarkTimerHoldDistinct(b *testing.B) {
+	benchHold(b, func(i int) Time { return 1000 + Time(i) }, func(i int) Time { return Time(i) })
+}

@@ -1,19 +1,20 @@
 // Conservative parallel discrete-event execution.
 //
 // A Parallel run partitions the simulated world into logical processes
-// (LPs), each an ordinary single-threaded Engine with its own 4-ary heap,
-// clock, and RNG stream. Execution proceeds in time windows bounded by the
-// lookahead — the minimum latency of any cross-LP interaction (in the
-// network model, the smallest propagation delay of a link whose endpoints
-// live in different LPs). Within one window every LP can run independently:
-// conservative synchronization guarantees that no event executed in the
-// window can cause another LP to receive anything earlier than the window's
-// end, so no LP ever has to roll back.
+// (LPs), each an ordinary single-threaded Engine with its own event queue
+// (same-timestamp chains behind a 4-ary heap, see engine.go), clock, and RNG
+// stream. Execution proceeds in time windows bounded by the lookahead — the
+// minimum latency of any cross-LP interaction (in the network model, the
+// smallest propagation delay of a link whose endpoints live in different
+// LPs). Within one window every LP can run independently: conservative
+// synchronization guarantees that no event executed in the window can cause
+// another LP to receive anything earlier than the window's end, so no LP
+// ever has to roll back.
 //
 // Cross-LP messages travel through double-buffered per-(source, destination)
 // outboxes: during window N the source's worker appends to the parity-N%2
 // buffer, and at the start of window N+1 each destination's own worker
-// merges the parity-N%2 buffers aimed at it into its heap in a fixed
+// merges the parity-N%2 buffers aimed at it into its slab in a fixed
 // (timestamp, source LP, send order) total order — the merge of window N's
 // traffic overlaps window N+1's writes into the opposite parity, so one
 // barrier per window suffices and the entire drain phase parallelizes

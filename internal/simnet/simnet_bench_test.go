@@ -6,7 +6,8 @@ import (
 	"repro/internal/sim"
 )
 
-// BenchmarkPortForwarding measures per-packet cost through one link.
+// BenchmarkPortForwarding measures per-packet cost through one link. Packets
+// come from the pool, as the transport's do, so allocs/op is the layer's own.
 func BenchmarkPortForwarding(b *testing.B) {
 	eng := sim.New(1)
 	a := NewHost(eng, "a", 1, gbps100, 600)
@@ -16,7 +17,9 @@ func BenchmarkPortForwarding(b *testing.B) {
 	c.Handler = func(p *Packet) { got++ }
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		a.Send(&Packet{Type: Data, Src: 1, Dst: 2, Payload: 1024})
+		p := NewPacket()
+		p.Type, p.Src, p.Dst, p.Payload = Data, 1, 2, 1024
+		a.Send(p)
 		if i%256 == 0 {
 			eng.Run()
 		}
@@ -43,7 +46,9 @@ func BenchmarkSwitchTransit(b *testing.B) {
 	h2.Handler = func(p *Packet) { got++ }
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		h1.Send(&Packet{Type: Data, Src: 1, Dst: 2, Payload: 1024})
+		p := NewPacket()
+		p.Type, p.Src, p.Dst, p.Payload = Data, 1, 2, 1024
+		h1.Send(p)
 		if i%256 == 0 {
 			eng.Run()
 		}
