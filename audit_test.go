@@ -48,34 +48,12 @@ func TestAuditCleanTestbed(t *testing.T) {
 }
 
 // TestAuditCleanLossy: random data+control loss plus a core-switch
-// crash/restart cycle mid-transfer (the TestMetricsFabricMatchesWalk
+// crash/restart cycle mid-transfer (dropScenario, the TestDropSinksAgree
 // workload) exercises retransmission, NACKs, MFT wipes and unknown-group
 // drops — all of which are protocol-legal and must not trip any checker.
 func TestAuditCleanLossy(t *testing.T) {
-	core.ResetMcstIDs()
-	c := NewFatTree(4, Options{Seed: 7})
+	c := dropScenario(t, func(c *Cluster) { c.EnableAudit() })
 	defer c.Close()
-	c.EnableAudit()
-	members := []int{0, 3, 6, 9, 12, 15}
-	b, err := c.Broadcaster(SchemeCepheus, members, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.SetLossRate(0.01)
-	c.SetControlLossRate(0.005)
-	if _, err := c.RunBcastErr(b, 0, 512<<10); err != nil {
-		t.Fatal(err)
-	}
-	sw := c.Net.Switches[len(c.Net.Switches)-1]
-	var done bool
-	b.Bcast(0, 512<<10, func() { done = true })
-	c.Eng.RunFor(50 * sim.Microsecond)
-	sw.Crash()
-	c.Eng.RunFor(200 * sim.Microsecond)
-	sw.Restart()
-	c.Eng.RunFor(5 * sim.Millisecond)
-	_ = done
-	c.Eng.RunFor(1 * sim.Millisecond)
 	auditMustBeClean(t, c)
 }
 

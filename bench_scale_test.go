@@ -145,7 +145,7 @@ func BenchmarkFig13LossTolerance(b *testing.B) {
 				chain, _ := fatTreeJCTCells(SchemeChain, scale+1, size, loss, 8192)
 				if loss == 0 {
 					cephBase, chainBase = ceph, chain
-				} else if cc.TotalDrops() == 0 {
+				} else if cc.Metrics().DataDrops == 0 {
 					b.Logf("scale %d loss %g: injector never fired", scale, loss)
 				}
 				t.Add(fmt.Sprintf("%d/%.0e", scale, loss),

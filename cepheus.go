@@ -124,12 +124,9 @@ type Cluster struct {
 	Agents []*core.Agent
 	Accels []*core.Accel
 
-	// Fab holds the cluster's sharded fabric counters (always wired; the
-	// per-LP shards make Metrics a sum over NumLPs cells instead of a walk
-	// over every device). Rec is the flight recorder, nil until EnableTrace;
-	// Aud the protocol auditor, nil until EnableAudit; Series the telemetry
-	// sampler, nil until EnableSeries.
-	Fab    *obs.Fabric
+	// Rec is the flight recorder, nil until EnableTrace; Aud the protocol
+	// auditor, nil until EnableAudit; Series the telemetry sampler, nil
+	// until EnableSeries.
 	Rec    *obs.Recorder
 	Aud    *obs.Auditor
 	Series *obs.SeriesSet
@@ -193,19 +190,6 @@ func wire(eng *sim.Engine, net *topo.Network, opts Options) *Cluster {
 	}
 	for _, sw := range net.Switches {
 		c.Accels = append(c.Accels, core.Attach(sw, *opts.Accel))
-	}
-	// Fabric counters are always on: each device increments its own LP's
-	// shard (wired after Partition so LP assignments are final).
-	nlp := 1
-	if c.Par != nil {
-		nlp = c.Par.NumLPs()
-	}
-	c.Fab = obs.NewFabric(nlp)
-	for _, sw := range net.Switches {
-		sw.SetFabric(c.Fab.LP(sw.Engine().LP()))
-	}
-	for _, h := range net.Hosts {
-		h.NIC.SetFabric(c.Fab.LP(h.Engine().LP()))
 	}
 	return c
 }
@@ -452,15 +436,6 @@ func (c *Cluster) SetLossRate(rate float64) {
 	for _, sw := range c.Net.Switches {
 		sw.LossRate = rate
 	}
-}
-
-// TotalDrops sums loss-injected discards across switches.
-func (c *Cluster) TotalDrops() uint64 {
-	var n uint64
-	for _, sw := range c.Net.Switches {
-		n += sw.DataDrops
-	}
-	return n
 }
 
 // Host returns host i's address (useful when crafting custom traffic).

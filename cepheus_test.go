@@ -105,7 +105,7 @@ func TestLossInjectionThroughAPI(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.RunBcast(b, 0, 8<<20)
-	if c.TotalDrops() == 0 {
+	if c.Metrics().DataDrops == 0 {
 		t.Fatal("loss injection never fired")
 	}
 }

@@ -605,7 +605,7 @@ func fig14() {
 	f2, f2r := mk(1, 2)
 	f3, f3r := mk(3, 4)
 	// -series: sample the three competing flows' DCQCN rates (plus the
-	// default queue-depth and fabric-counter probes) every 100µs — the data
+	// default queue-depth and fab/* counter probes) every 100µs — the data
 	// behind the paper's rate-convergence figure.
 	var ser *obs.SeriesSet
 	if *seriesOut != "" {
@@ -897,33 +897,40 @@ func traceov() {
 		}
 		return float64(c.EventsRun()-ev0) / wall.Seconds()
 	}
-	// Interleave off/on iterations and gate on the median of *paired*
-	// overhead ratios: each off/on pair runs back to back under the same
-	// machine conditions, so host steal and thermal drift cancel within the
-	// pair, and the median over pairs discards the iterations a GC pause or
-	// a noisy-neighbor burst did hit. Taking each side's median
-	// independently (let alone best-of) compares samples from different
-	// moments of machine state and swings tens of points on a shared host.
+	pairedOverhead("traceov", "Trace overhead: pdes workload, flight recorder off vs on (median of 9, interleaved)",
+		"tracing", 9, *failOver, once)
+	fmt.Printf("events lost by recorder: %d\n", lost)
+}
+
+// pairedOverhead measures what a feature costs in events/s: iters
+// interleaved off/on pairs of once, then the median of the *paired*
+// overhead ratios 1-on/off. Each pair runs back to back under the same
+// machine conditions, so host steal and thermal drift cancel within the
+// pair, and the median over pairs discards the iterations a GC pause or a
+// noisy-neighbor burst did hit. Taking each side's median independently
+// (let alone best-of) compares samples from different moments of machine
+// state and swings tens of points on a shared host. It prints the off/on
+// table, appends one JSON record per side, and fails the run when budget
+// is set and the overhead exceeds it.
+func pairedOverhead(name, title, feature string, iters int, budget float64, once func(on bool) float64) {
 	var offs, ons, overs []float64
-	for i := 0; i < 9; i++ {
+	for i := 0; i < iters; i++ {
 		off, on := once(false), once(true)
 		offs, ons = append(offs, off), append(ons, on)
 		overs = append(overs, 1-on/off)
 	}
 	off, on := median(offs), median(ons)
 	overhead := median(overs)
-	t := exp.NewTable("Trace overhead: pdes workload, flight recorder off vs on (median of 9, interleaved)",
-		"tracing", "events/s(M)", "overhead")
+	t := exp.NewTable(title, feature, "events/s(M)", "overhead")
 	t.Add("off", fmt.Sprintf("%.2f", off/1e6), "-")
 	t.Add("on", fmt.Sprintf("%.2f", on/1e6), fmt.Sprintf("%.1f%%", 100*overhead))
 	fmt.Print(t)
-	fmt.Printf("events lost by recorder: %d\n", lost)
 	records = append(records,
-		benchRecord{Experiment: "traceov", Case: "off", EventsPerSec: off},
-		benchRecord{Experiment: "traceov", Case: "on", EventsPerSec: on, OverheadPct: 100 * overhead})
-	if *failOver > 0 && overhead > *failOver {
-		fmt.Fprintf(os.Stderr, "traceov: tracing overhead %.1f%% exceeds the %.0f%% budget\n",
-			100*overhead, 100**failOver)
+		benchRecord{Experiment: name, Case: "off", EventsPerSec: off},
+		benchRecord{Experiment: name, Case: "on", EventsPerSec: on, OverheadPct: 100 * overhead})
+	if budget > 0 && overhead > budget {
+		fmt.Fprintf(os.Stderr, "%s: %s overhead %.1f%% exceeds the %.0f%% budget\n",
+			name, feature, 100*overhead, 100*budget)
 		exitCode = 1
 	}
 }
@@ -987,29 +994,8 @@ func profov() {
 		}
 		return float64(c.EventsRun()-ev0) / wall.Seconds()
 	}
-	// Same paired-ratio methodology as traceov: overhead is the median of
-	// per-pair ratios, not the ratio of per-side medians.
-	var offs, ons, overs []float64
-	for i := 0; i < 7; i++ {
-		off, on := once(false), once(true)
-		offs, ons = append(offs, off), append(ons, on)
-		overs = append(overs, 1-on/off)
-	}
-	off, on := median(offs), median(ons)
-	overhead := median(overs)
-	t := exp.NewTable(fmt.Sprintf("Profiler overhead: pdes workload under the partitioned coordinator (workers=%d, median of 7, interleaved)", workers),
-		"profiling", "events/s(M)", "overhead")
-	t.Add("off", fmt.Sprintf("%.2f", off/1e6), "-")
-	t.Add("on", fmt.Sprintf("%.2f", on/1e6), fmt.Sprintf("%.1f%%", 100*overhead))
-	fmt.Print(t)
-	records = append(records,
-		benchRecord{Experiment: "profov", Case: "off", EventsPerSec: off},
-		benchRecord{Experiment: "profov", Case: "on", EventsPerSec: on, OverheadPct: 100 * overhead})
-	if *profOver > 0 && overhead > *profOver {
-		fmt.Fprintf(os.Stderr, "profov: profiling overhead %.1f%% exceeds the %.0f%% budget\n",
-			100*overhead, 100**profOver)
-		exitCode = 1
-	}
+	pairedOverhead("profov", fmt.Sprintf("Profiler overhead: pdes workload under the partitioned coordinator (workers=%d, median of 7, interleaved)", workers),
+		"profiling", 7, *profOver, once)
 }
 
 // fairness runs G concurrent multicast groups over a shared k=8 fat-tree
@@ -1113,7 +1099,6 @@ func fairnessOne(G int) obs.FairnessReport {
 // ratios). This is the worst case for attribution — every delivered packet
 // books into a group cell — and -gsover turns it into the <3% perfsmoke gate.
 func gsov() {
-	groupsSeen := -1
 	once := func(attributed bool) float64 {
 		core.ResetMcstIDs()
 		tr := roce.DefaultConfig()
@@ -1147,36 +1132,14 @@ func gsov() {
 			}
 		}
 		wall := time.Since(t0)
-		if attributed {
-			groupsSeen = len(c.GroupReports())
+		if n := len(c.GroupReports()); attributed && n != 1 {
+			fmt.Fprintf(os.Stderr, "gsov: attributed run saw %d groups, want 1 — overhead measured nothing\n", n)
+			os.Exit(1)
 		}
 		return float64(c.EventsRun()-ev0) / wall.Seconds()
 	}
-	var offs, ons, overs []float64
-	for i := 0; i < 9; i++ {
-		off, on := once(false), once(true)
-		offs, ons = append(offs, off), append(ons, on)
-		overs = append(overs, 1-on/off)
-	}
-	off, on := median(offs), median(ons)
-	overhead := median(overs)
-	if groupsSeen != 1 {
-		fmt.Fprintf(os.Stderr, "gsov: attributed run saw %d groups, want 1 — overhead measured nothing\n", groupsSeen)
-		os.Exit(1)
-	}
-	t := exp.NewTable("Group-attribution overhead: pdes workload, off vs on (median of 9, interleaved)",
-		"attribution", "events/s(M)", "overhead")
-	t.Add("off", fmt.Sprintf("%.2f", off/1e6), "-")
-	t.Add("on", fmt.Sprintf("%.2f", on/1e6), fmt.Sprintf("%.1f%%", 100*overhead))
-	fmt.Print(t)
-	records = append(records,
-		benchRecord{Experiment: "gsov", Case: "off", EventsPerSec: off},
-		benchRecord{Experiment: "gsov", Case: "on", EventsPerSec: on, OverheadPct: 100 * overhead})
-	if *gsOver > 0 && overhead > *gsOver {
-		fmt.Fprintf(os.Stderr, "gsov: group attribution overhead %.1f%% exceeds the %.0f%% budget\n",
-			100*overhead, 100**gsOver)
-		exitCode = 1
-	}
+	pairedOverhead("gsov", "Group-attribution overhead: pdes workload, off vs on (median of 9, interleaved)",
+		"attribution", 9, *gsOver, once)
 }
 
 func safeguard() {

@@ -91,5 +91,5 @@ func main() {
 		timeouts += r.Stats.Timeouts
 	}
 	fmt.Printf("drops=%d retransmits=%d timeouts=%d sender-acks=%d\n",
-		c.TotalDrops(), retrans, timeouts, c.RNICs[0].Stats.AcksRecv)
+		c.Metrics().DataDrops, retrans, timeouts, c.RNICs[0].Stats.AcksRecv)
 }

@@ -67,11 +67,11 @@ type AccelStats struct {
 	MRPRejected     uint64
 	Reduce          ReduceStats
 
-	// Fault/recovery counters.
+	// Fault/recovery counters. Multicast data dropped for an unknown group
+	// is a switch drop, counted in Switch.UnknownGroupDrops.
 	MFTWipes          uint64 // groups lost to a switch crash (volatile MFT)
 	EpochRebuilds     uint64 // MFTs replaced by a newer-epoch registration
 	StaleMRPDropped   uint64 // older-epoch MRP replays discarded
-	UnknownGroupDrops uint64 // multicast data dropped for an unknown group
 	UnknownGroupNacks uint64 // rejections emitted for unknown-group data
 }
 
@@ -118,7 +118,6 @@ func Attach(sw *simnet.Switch, cfg AccelConfig) *Accel {
 // the FPGA board would: every MFT, reduction state, and the load counters.
 func (a *Accel) onSwitchRestart() {
 	a.Stats.MFTWipes += uint64(len(a.mfts))
-	a.sw.Fabric().Add(obs.FMFTWipes, uint64(len(a.mfts)))
 	if tr := a.sw.Tracer(); tr.On() && len(a.mfts) > 0 {
 		// One event per wiped group, in sorted group order — map iteration
 		// order must never leak into the trace.
@@ -190,13 +189,7 @@ func (a *Accel) Handle(sw *simnet.Switch, p *simnet.Packet, in *simnet.Port) boo
 		// controller learns the tree is gone and re-registers, instead of
 		// the sender discovering the black hole only via safeguard timeout.
 		if p.Type == simnet.Data {
-			a.Stats.UnknownGroupDrops++
-			a.sw.Fabric().Inc(obs.FUnknownGroupDrops)
-			a.sw.GroupStats().Drop(uint32(p.Dst), a.sw.Engine().Now(), int64(p.Size()))
-			if tr := a.sw.Tracer(); tr.On() {
-				tr.Record(a.sw.Engine().Now(), obs.KDrop, obs.RUnknownGroup, in.ID,
-					uint8(p.Type), uint32(p.Src), uint32(p.Dst), p.SrcQP, p.DstQP, p.PSN, p.MsgID, 0, int64(p.Size()))
-			}
+			a.sw.Drop(obs.RUnknownGroup, p, in.ID)
 			a.nackUnknownGroup(p)
 		}
 		p.Release()
@@ -249,7 +242,6 @@ func (a *Accel) handleMRP(p *simnet.Packet, in *simnet.Port) {
 			// A retransmitted or reordered chunk from a superseded
 			// registration: discard rather than corrupt the live tree.
 			a.Stats.StaleMRPDropped++
-			a.sw.Fabric().Inc(obs.FStaleMRPDropped)
 			a.recMFT(obs.KMFTStale, pay.McstID, int64(pay.Epoch))
 			return
 		}
@@ -257,7 +249,6 @@ func (a *Accel) handleMRP(p *simnet.Packet, in *simnet.Port) {
 		// it wholesale — merged entries from different epochs could route
 		// through links the controller now knows to be gone.
 		a.Stats.EpochRebuilds++
-		a.sw.Fabric().Inc(obs.FEpochRebuilds)
 		a.recMFT(obs.KMFTRebuild, pay.McstID, int64(pay.Epoch))
 		mft = nil
 		delete(a.mfts, pay.McstID)
@@ -375,7 +366,6 @@ func (a *Accel) nackUnknownGroup(p *simnet.Packet) {
 	}
 	a.lastUnknownNack[p.Dst] = now
 	a.Stats.UnknownGroupNacks++
-	a.sw.Fabric().Inc(obs.FUnknownGroupNacks)
 	a.recMFT(obs.KMFTNack, p.Dst, 0)
 	rp := simnet.NewPacket()
 	rp.Type, rp.Src, rp.Dst = simnet.MRPReject, p.Dst, p.Src

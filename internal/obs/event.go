@@ -1,12 +1,12 @@
 // Package obs is the unified observability layer: a flight recorder of typed
-// trace events (allocation-free, per-LP, merged deterministically), sharded
-// fabric counters that replace hand-summed metric walks, and log-bucketed
-// histograms for latency and queue-depth distributions.
+// trace events (allocation-free, per-LP, merged deterministically), per-group
+// attribution shards, and log-bucketed histograms for latency and
+// queue-depth distributions.
 //
 // The package sits below simnet/roce/core in the dependency order (it imports
 // only sim), so every layer of the stack can record into it. Everything is
 // built to cost nothing when disabled: recording is guarded by a nil Tracer
-// check, counters are nil-safe increments, and nothing on any path allocates.
+// check, group shards are nil-safe, and nothing on any path allocates.
 // See DESIGN.md §10.
 package obs
 

@@ -9,10 +9,11 @@ import (
 )
 
 // Group-scoped attribution: every delivered, dropped, and retransmitted byte
-// in the fabric is booked against the multicast group id that owns it, per
-// LP, with the same single-writer discipline as the fabric counters
-// (fabric.go). The hot path when attribution is disabled is one nil check;
-// when enabled it is a cached-cell pointer add. Nothing here schedules
+// in the fabric is booked against the multicast group id that owns it, in
+// the shard of the booking device's LP. Every device belongs to exactly one
+// LP, so each shard has a single writer and needs no atomics. The hot path
+// when attribution is disabled is one nil check; when enabled it is a
+// cached-cell pointer add. Nothing here schedules
 // events, mutates packets, or draws randomness, so enabling group stats is
 // digest- and trace-byte-neutral by construction at every worker count.
 
@@ -133,7 +134,7 @@ func (c *GroupCell) Retransmit(at sim.Time, payload int64) {
 
 // GroupLP is one logical process's shard of the group-stats registry.
 // A nil *GroupLP is a valid no-op target — the nil check is the entire
-// disabled cost, exactly like FabricLP.
+// disabled cost.
 type GroupLP struct {
 	gs    *GroupStats
 	cells map[uint32]*GroupCell

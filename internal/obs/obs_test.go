@@ -96,26 +96,6 @@ func TestHistogramMergeEqualsCombined(t *testing.T) {
 	}
 }
 
-func TestFabricNilSafeAndTotals(t *testing.T) {
-	var nilLP *FabricLP
-	nilLP.Inc(FDataDrops) // must not panic
-	nilLP.Add(FMFTWipes, 3)
-
-	f := NewFabric(4)
-	f.LP(0).Inc(FDataDrops)
-	f.LP(3).Add(FDataDrops, 2)
-	f.LP(1).Inc(FCrashDrops)
-	if got := f.Total(FDataDrops); got != 3 {
-		t.Fatalf("Total(FDataDrops) = %d, want 3", got)
-	}
-	if got := f.Total(FCrashDrops); got != 1 {
-		t.Fatalf("Total(FCrashDrops) = %d, want 1", got)
-	}
-	if got := f.Total(FMFTWipes); got != 0 {
-		t.Fatalf("Total(FMFTWipes) = %d, want 0", got)
-	}
-}
-
 func TestTracerNilOn(t *testing.T) {
 	var tr *Tracer
 	if tr.On() {

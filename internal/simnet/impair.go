@@ -185,26 +185,3 @@ func (pt *Port) impairSend(p *Packet, tx sim.Time) {
 		pt.eng.AfterHandler(tx+prop, &pt.deliverH, p)
 	}
 }
-
-// recordImpairDrop books a frame the impaired wire killed, at serialization
-// end. The drop is post-dequeue, so it must not perturb the queue-depth
-// replay: the recorded depth is the port's current depth, which the auditor
-// checks against its replayed value (injected loss distinguishable from an
-// accounting bug).
-func (pt *Port) recordImpairDrop(p *Packet) {
-	switch p.impairDrop {
-	case obs.RImpairLoss:
-		pt.Stats.ImpairDrops++
-		pt.fab.Inc(obs.FImpairDrops)
-	case obs.RCorrupt:
-		pt.Stats.CorruptDrops++
-		pt.fab.Inc(obs.FCorruptDrops)
-	case obs.RStormLoss:
-		pt.Stats.StormDrops++
-		pt.fab.Inc(obs.FStormDrops)
-	}
-	pt.gsDrop(p)
-	if pt.tr.On() {
-		pt.rec(obs.KDrop, p.impairDrop, p, int64(pt.qBytes), int64(p.Size()))
-	}
-}

@@ -30,7 +30,9 @@ type ECNConfig struct {
 // DefaultECN is the marking profile used on 100Gbps ports (see DESIGN.md §5).
 var DefaultECN = ECNConfig{Enabled: true, KminBytes: 100 << 10, KmaxBytes: 400 << 10, PMax: 0.2}
 
-// PortStats counts what happened on a port's egress side.
+// PortStats counts what happened on a port's egress side. Drops counts
+// frames refused by drop-tail (QueueLimit) at enqueue; every other kind of
+// port kill has its own counter below.
 type PortStats struct {
 	TxPackets  uint64
 	TxBytes    uint64
@@ -42,8 +44,8 @@ type PortStats struct {
 
 	// FaultDrops counts frames lost to a dead link: queued frames purged
 	// when the port went down, frames enqueued while down, and in-flight
-	// frames whose link failed before delivery. It is a subset of nothing —
-	// a separate category from congestion Drops.
+	// frames whose link failed before delivery. It is a separate category
+	// from congestion Drops: a frame is counted in exactly one of them.
 	FaultDrops uint64
 
 	// Gray-failure impairment drops (see impair.go), each its own category:
@@ -124,11 +126,9 @@ type Port struct {
 	rxH      rxHandler
 
 	// Observability. tr is the owning device's flight-recorder handle (nil
-	// while tracing is off — the nil check is the entire disabled cost); fab
-	// is the owning LP's fabric-counter shard (nil-safe); QHist observes the
-	// egress queue depth at every enqueue.
+	// while tracing is off — the nil check is the entire disabled cost);
+	// QHist observes the egress queue depth at every enqueue.
 	tr    *obs.Tracer
-	fab   *obs.FabricLP
 	QHist obs.Histogram
 
 	// gs is the owning LP's group-stats shard (nil while group attribution
@@ -142,25 +142,47 @@ type Port struct {
 // record under that device id with Port distinguishing the egress.
 func (pt *Port) SetTracer(tr *obs.Tracer) { pt.tr = tr }
 
-// SetFabric attaches the owning LP's fabric-counter shard.
-func (pt *Port) SetFabric(fab *obs.FabricLP) { pt.fab = fab }
-
 // SetGroupStats attaches the owning LP's group-stats shard.
 func (pt *Port) SetGroupStats(gs *obs.GroupLP) { pt.gs = gs }
 
-// gsDrop attributes one dropped frame to its multicast group: forward-path
-// frames by destination, group-sourced feedback (whose Src the leaf accel
-// rewrote to the McstID) by source. No-op for unicast-only frames or while
-// attribution is off; drop paths are cold, so the map lookup inside is fine.
-func (pt *Port) gsDrop(p *Packet) {
-	if pt.gs == nil {
-		return
+// drop books one frame the port killed, for reason r, in every sink: the
+// port's counter for r, the frame's group attribution, and a KDrop event
+// carrying depth (see bookDrop). It is the only place a port kill is
+// counted. The caller still owns p and releases it.
+func (pt *Port) drop(r obs.Reason, p *Packet, depth int64) {
+	switch r {
+	case obs.RQueueLimit:
+		pt.Stats.Drops++
+	case obs.RFault:
+		pt.Stats.FaultDrops++
+	case obs.RImpairLoss:
+		pt.Stats.ImpairDrops++
+	case obs.RCorrupt:
+		pt.Stats.CorruptDrops++
+	case obs.RStormLoss:
+		pt.Stats.StormDrops++
 	}
-	switch {
-	case p.Dst.IsMulticast():
-		pt.gs.Drop(uint32(p.Dst), pt.eng.Now(), int64(p.Size()))
-	case p.Src.IsMulticast():
-		pt.gs.Drop(uint32(p.Src), pt.eng.Now(), int64(p.Size()))
+	bookDrop(pt.eng, pt.tr, pt.gs, r, pt.ID, p, depth)
+}
+
+// bookDrop is the sink fan-out shared by Port.drop and Switch.Drop. Group
+// attribution books forward-path frames by destination and group-sourced
+// feedback (whose Src the leaf accel rewrote to the McstID) by source, and
+// skips unicast-only frames; drop paths are cold, so the map lookup inside
+// is fine. The KDrop event records under port with depth as its payload.
+// gs and tr are nil while their sink is off.
+func bookDrop(eng *sim.Engine, tr *obs.Tracer, gs *obs.GroupLP, r obs.Reason, port int, p *Packet, depth int64) {
+	size := int64(p.Size())
+	if gs != nil {
+		switch {
+		case p.Dst.IsMulticast():
+			gs.Drop(uint32(p.Dst), eng.Now(), size)
+		case p.Src.IsMulticast():
+			gs.Drop(uint32(p.Src), eng.Now(), size)
+		}
+	}
+	if tr.On() {
+		tr.Record(eng.Now(), obs.KDrop, r, port, uint8(p.Type), uint32(p.Src), uint32(p.Dst), p.SrcQP, p.DstQP, p.PSN, p.MsgID, depth, size)
 	}
 }
 
@@ -195,8 +217,11 @@ func (h *txDoneHandler) OnEvent(_ *sim.Engine, arg any) {
 	}
 	if p.impairDrop != obs.RNone {
 		// The impaired wire killed this frame (impair.go); no delivery was
-		// scheduled, so serialization end is where it dies.
-		pt.recordImpairDrop(p)
+		// scheduled, so serialization end is where it dies. The drop is
+		// post-dequeue, so it records the port's current depth, which the
+		// auditor checks against its replayed value (injected loss stays
+		// distinguishable from an accounting bug).
+		pt.drop(p.impairDrop, p, int64(pt.qBytes))
 		p.Release()
 	}
 	if pt.OnDrain != nil && pt.qBytes <= pt.LowWater {
@@ -214,12 +239,7 @@ func (h *deliverHandler) OnEvent(_ *sim.Engine, arg any) {
 	p := arg.(*Packet)
 	peer := pt.Peer
 	if pt.epoch != p.txEpoch || peer.epoch != p.peerEpoch {
-		pt.Stats.FaultDrops++
-		pt.fab.Inc(obs.FFaultDrops)
-		pt.gsDrop(p)
-		if pt.tr.On() {
-			pt.rec(obs.KDrop, obs.RFault, p, 0, int64(p.Size()))
-		}
+		pt.drop(obs.RFault, p, 0)
 		p.Release()
 		return
 	}
@@ -238,12 +258,7 @@ func (h *rxHandler) OnEvent(_ *sim.Engine, arg any) {
 	pt := h.pt
 	p := arg.(*Packet)
 	if pt.down {
-		pt.Stats.FaultDrops++
-		pt.fab.Inc(obs.FFaultDrops)
-		pt.gsDrop(p)
-		if pt.tr.On() {
-			pt.rec(obs.KDrop, obs.RFault, p, 0, int64(p.Size()))
-		}
+		pt.drop(obs.RFault, p, 0)
 		p.Release()
 		return
 	}
@@ -427,13 +442,7 @@ func (pt *Port) purge() {
 	for cls := range pt.queues {
 		for pt.queues[cls].len() > 0 {
 			p := pt.queues[cls].popFront()
-			pt.Stats.Drops++
-			pt.Stats.FaultDrops++
-			pt.fab.Inc(obs.FFaultDrops)
-			pt.gsDrop(p)
-			if pt.tr.On() {
-				pt.rec(obs.KDrop, obs.RFault, p, int64(pt.qBytes), int64(p.Size()))
-			}
+			pt.drop(obs.RFault, p, int64(pt.qBytes))
 			if p.acct != nil {
 				p.acct.release(p.Size())
 				p.acct = nil
@@ -473,13 +482,7 @@ func (pt *Port) Send(p *Packet) {
 // real switch emits from a dedicated high-priority path.
 func (pt *Port) SendUrgent(p *Packet) {
 	if pt.down {
-		pt.Stats.Drops++
-		pt.Stats.FaultDrops++
-		pt.fab.Inc(obs.FFaultDrops)
-		pt.gsDrop(p)
-		if pt.tr.On() {
-			pt.rec(obs.KDrop, obs.RFault, p, int64(pt.qBytes), int64(p.Size()))
-		}
+		pt.drop(obs.RFault, p, int64(pt.qBytes))
 		p.Release()
 		return
 	}
@@ -496,22 +499,12 @@ func (pt *Port) SendUrgent(p *Packet) {
 func (pt *Port) enqueue(p *Packet, urgent bool) {
 	size := p.Size()
 	if pt.down {
-		pt.Stats.Drops++
-		pt.Stats.FaultDrops++
-		pt.fab.Inc(obs.FFaultDrops)
-		pt.gsDrop(p)
-		if pt.tr.On() {
-			pt.rec(obs.KDrop, obs.RFault, p, int64(pt.qBytes), int64(p.Size()))
-		}
+		pt.drop(obs.RFault, p, int64(pt.qBytes))
 		p.Release()
 		return
 	}
 	if pt.QueueLimit > 0 && pt.qBytes+size > pt.QueueLimit {
-		pt.Stats.Drops++
-		pt.gsDrop(p)
-		if pt.tr.On() {
-			pt.rec(obs.KDrop, obs.RQueueLimit, p, int64(pt.qBytes), int64(size))
-		}
+		pt.drop(obs.RQueueLimit, p, int64(pt.qBytes))
 		// The packet never occupied the queue; no accounting to release.
 		p.Release()
 		return
@@ -743,12 +736,7 @@ func (pt *Port) onArrive() {
 	p := fe.p
 	peer := pt.Peer
 	if pt.epoch != p.txEpoch || peer.epoch != p.peerEpoch {
-		pt.Stats.FaultDrops++
-		pt.fab.Inc(obs.FFaultDrops)
-		pt.gsDrop(p)
-		if pt.tr.On() {
-			pt.rec(obs.KDrop, obs.RFault, p, 0, int64(p.Size()))
-		}
+		pt.drop(obs.RFault, p, 0)
 		p.Release()
 		return
 	}

@@ -373,3 +373,36 @@ func TestObsPacketTypeNamesInSync(t *testing.T) {
 		t.Errorf("obs names a packet type simnet does not have: %q", got)
 	}
 }
+
+// TestDownPortDropsAreFaultDrops: every frame a dead link kills — queued
+// frames purged when the port goes down, the frame already on the wire,
+// and Send and SendUrgent while down — counts once, in FaultDrops, and
+// never in the drop-tail Drops counter.
+func TestDownPortDropsAreFaultDrops(t *testing.T) {
+	eng := sim.New(1)
+	a := &sinkDev{name: "a"}
+	b := &sinkDev{name: "b"}
+	pa := NewPort(eng, a, 1e9, 100)
+	pb := NewPort(eng, b, 1e9, 100)
+	Connect(pa, pb)
+	frame := func() *Packet {
+		p := NewPacket()
+		p.Type = Data
+		p.Payload = 1000
+		return p
+	}
+	for i := 0; i < 4; i++ { // one frame on the wire, three queued
+		pa.Send(frame())
+	}
+	pa.SetDown(true)
+	pa.Send(frame())
+	pa.SendUrgent(frame())
+	eng.Run()
+	if b.got != 0 {
+		t.Fatalf("peer received %d frames over a dead link", b.got)
+	}
+	if pa.Stats.Drops != 0 || pa.Stats.FaultDrops != 6 {
+		t.Fatalf("Drops=%d FaultDrops=%d, want 0 and 6 (3 purged + 1 on the wire + Send + SendUrgent)",
+			pa.Stats.Drops, pa.Stats.FaultDrops)
+	}
+}

@@ -104,6 +104,10 @@ type Switch struct {
 	// dropped here instead of crashing the simulation.
 	NoRouteDrops uint64
 
+	// UnknownGroupDrops counts multicast data the attached accelerator
+	// dropped for lack of an MFT (booked through Drop).
+	UnknownGroupDrops uint64
+
 	// OnRestart, when set, fires after Restart restores the ports — the
 	// accelerator hooks it to model volatile state (the MFT) being wiped by
 	// a crash.
@@ -116,13 +120,11 @@ type Switch struct {
 	down bool
 
 	// Observability: the switch-level flight-recorder handle (shared with
-	// its ports and its attached accelerator; nil while tracing is off) and
-	// the owning LP's fabric-counter shard.
-	tr  *obs.Tracer
-	fab *obs.FabricLP
+	// its ports and its attached accelerator; nil while tracing is off).
+	tr *obs.Tracer
 
 	// gs is the owning LP's group-stats shard (nil while group attribution
-	// is off); shared with the switch's ports like tr and fab.
+	// is off); shared with the switch's ports like tr.
 	gs *obs.GroupLP
 }
 
@@ -140,18 +142,6 @@ func (sw *Switch) SetTracer(tr *obs.Tracer) {
 // off), so the attached accelerator can record under the same device.
 func (sw *Switch) Tracer() *obs.Tracer { return sw.tr }
 
-// SetFabric attaches the owning LP's fabric-counter shard to the switch and
-// its ports.
-func (sw *Switch) SetFabric(fab *obs.FabricLP) {
-	sw.fab = fab
-	for _, pt := range sw.Ports {
-		pt.SetFabric(fab)
-	}
-}
-
-// Fabric returns the switch's fabric shard (nil outside a Cluster).
-func (sw *Switch) Fabric() *obs.FabricLP { return sw.fab }
-
 // SetGroupStats attaches the owning LP's group-stats shard to the switch
 // and its ports.
 func (sw *Switch) SetGroupStats(gs *obs.GroupLP) {
@@ -161,28 +151,33 @@ func (sw *Switch) SetGroupStats(gs *obs.GroupLP) {
 	}
 }
 
-// GroupStats returns the switch's group-stats shard (nil while attribution
-// is off), so the attached accelerator can book its drops against the same
-// shard.
-func (sw *Switch) GroupStats() *obs.GroupLP { return sw.gs }
-
-// gsDrop attributes a switch-level drop to its multicast group (see
-// Port.gsDrop for the classification rule).
-func (sw *Switch) gsDrop(p *Packet) {
-	if sw.gs == nil {
-		return
+// Drop books one frame the switch (or its attached accelerator) killed, for
+// reason r, in every sink: the switch's counter for r, the frame's group
+// attribution, and a KDrop event under port — the ingress or egress id, -1
+// when there is none (see bookDrop). It is the only place a switch kill is
+// counted. The caller still owns p and releases it.
+func (sw *Switch) Drop(r obs.Reason, p *Packet, port int) {
+	switch r {
+	case obs.RLoss:
+		sw.DataDrops++
+	case obs.RCtrlLoss:
+		sw.CtrlDrops++
+	case obs.RCrash:
+		sw.CrashDrops++
+	case obs.RNoRoute:
+		sw.NoRouteDrops++
+	case obs.RUnknownGroup:
+		sw.UnknownGroupDrops++
 	}
-	switch {
-	case p.Dst.IsMulticast():
-		sw.gs.Drop(uint32(p.Dst), sw.eng.Now(), int64(p.Size()))
-	case p.Src.IsMulticast():
-		sw.gs.Drop(uint32(p.Src), sw.eng.Now(), int64(p.Size()))
-	}
+	bookDrop(sw.eng, sw.tr, sw.gs, r, port, p, 0)
 }
 
-// recDrop captures a switch-level drop; callers guard with sw.tr.On().
-func (sw *Switch) recDrop(r obs.Reason, p *Packet, port int) {
-	sw.tr.Record(sw.eng.Now(), obs.KDrop, r, port, uint8(p.Type), uint32(p.Src), uint32(p.Dst), p.SrcQP, p.DstQP, p.PSN, p.MsgID, 0, int64(p.Size()))
+// portID is in's id, or -1 for a locally generated packet.
+func portID(in *Port) int {
+	if in == nil {
+		return -1
+	}
+	return in.ID
 }
 
 // NewSwitch creates a switch with no ports.
@@ -263,16 +258,7 @@ func (sw *Switch) Restart() {
 // Receive implements Device.
 func (sw *Switch) Receive(p *Packet, in *Port) {
 	if sw.down {
-		sw.CrashDrops++
-		sw.fab.Inc(obs.FCrashDrops)
-		sw.gsDrop(p)
-		if sw.tr.On() {
-			port := -1
-			if in != nil {
-				port = in.ID
-			}
-			sw.recDrop(obs.RCrash, p, port)
-		}
+		sw.Drop(obs.RCrash, p, portID(in))
 		p.Release()
 		return
 	}
@@ -307,16 +293,7 @@ func (sw *Switch) Forward(p *Packet, in *Port) {
 		}
 	}
 	if len(ports) == 0 {
-		sw.NoRouteDrops++
-		sw.fab.Inc(obs.FNoRouteDrops)
-		sw.gsDrop(p)
-		if sw.tr.On() {
-			port := -1
-			if in != nil {
-				port = in.ID
-			}
-			sw.recDrop(obs.RNoRoute, p, port)
-		}
+		sw.Drop(obs.RNoRoute, p, portID(in))
 		p.Release()
 		return
 	}
@@ -331,32 +308,17 @@ func (sw *Switch) Forward(p *Packet, in *Port) {
 // PFC ingress accounting. in may be nil for locally generated packets.
 func (sw *Switch) Output(p *Packet, out int, in *Port) {
 	if sw.down {
-		sw.CrashDrops++
-		sw.fab.Inc(obs.FCrashDrops)
-		sw.gsDrop(p)
-		if sw.tr.On() {
-			sw.recDrop(obs.RCrash, p, out)
-		}
+		sw.Drop(obs.RCrash, p, out)
 		p.Release()
 		return
 	}
 	if sw.LossRate > 0 && p.Type == Data && sw.eng.Rand().Float64() < sw.LossRate {
-		sw.DataDrops++
-		sw.fab.Inc(obs.FDataDrops)
-		sw.gsDrop(p)
-		if sw.tr.On() {
-			sw.recDrop(obs.RLoss, p, out)
-		}
+		sw.Drop(obs.RLoss, p, out)
 		p.Release()
 		return
 	}
 	if sw.ControlLossRate > 0 && isLossyControl(p.Type) && sw.eng.Rand().Float64() < sw.ControlLossRate {
-		sw.CtrlDrops++
-		sw.fab.Inc(obs.FCtrlDrops)
-		sw.gsDrop(p)
-		if sw.tr.On() {
-			sw.recDrop(obs.RCtrlLoss, p, out)
-		}
+		sw.Drop(obs.RCtrlLoss, p, out)
 		p.Release()
 		return
 	}

@@ -2,8 +2,9 @@ package cepheus
 
 import (
 	"fmt"
+	"strings"
 
-	"repro/internal/obs"
+	"repro/internal/simnet"
 )
 
 // Metrics aggregates the cluster-wide health and fault counters: what the
@@ -50,89 +51,85 @@ type Metrics struct {
 	UnknownGroupNacks uint64
 }
 
-// Metrics reads the fault and drop counters for the whole fabric: a sum of
-// the per-LP counter shards, O(NumLPs) instead of a walk over every device.
-// Only meaningful while the simulation is quiescent (between Run calls).
+// Metrics sums the fault and drop counters over every device. Each killed
+// frame is counted once, by the device that killed it (Port.drop or
+// Switch.Drop); the MFT lifecycle counters come from the accelerators. Only
+// meaningful while the simulation is quiescent (between Run calls).
 func (c *Cluster) Metrics() Metrics {
-	f := c.Fab
-	return Metrics{
-		DataDrops:         f.Total(obs.FDataDrops),
-		CtrlDrops:         f.Total(obs.FCtrlDrops),
-		CrashDrops:        f.Total(obs.FCrashDrops),
-		NoRouteDrops:      f.Total(obs.FNoRouteDrops),
-		FaultDrops:        f.Total(obs.FFaultDrops),
-		ImpairDrops:       f.Total(obs.FImpairDrops),
-		CorruptDrops:      f.Total(obs.FCorruptDrops),
-		CtrlStormDrops:    f.Total(obs.FStormDrops),
-		MFTWipes:          f.Total(obs.FMFTWipes),
-		EpochRebuilds:     f.Total(obs.FEpochRebuilds),
-		StaleMRPDropped:   f.Total(obs.FStaleMRPDropped),
-		UnknownGroupDrops: f.Total(obs.FUnknownGroupDrops),
-		UnknownGroupNacks: f.Total(obs.FUnknownGroupNacks),
-	}
-}
-
-// metricsWalk recomputes Metrics the slow way, by walking every device's
-// private counters. It exists as a cross-check that the sharded fabric
-// counters track the per-device truth exactly (TestMetricsFabricMatchesWalk).
-func (c *Cluster) metricsWalk() Metrics {
 	var m Metrics
+	port := func(s *simnet.PortStats) {
+		m.FaultDrops += s.FaultDrops
+		m.ImpairDrops += s.ImpairDrops
+		m.CorruptDrops += s.CorruptDrops
+		m.CtrlStormDrops += s.StormDrops
+	}
 	for _, sw := range c.Net.Switches {
 		m.DataDrops += sw.DataDrops
 		m.CtrlDrops += sw.CtrlDrops
 		m.CrashDrops += sw.CrashDrops
 		m.NoRouteDrops += sw.NoRouteDrops
+		m.UnknownGroupDrops += sw.UnknownGroupDrops
 		for _, pt := range sw.Ports {
-			m.FaultDrops += pt.Stats.FaultDrops
-			m.ImpairDrops += pt.Stats.ImpairDrops
-			m.CorruptDrops += pt.Stats.CorruptDrops
-			m.CtrlStormDrops += pt.Stats.StormDrops
+			port(&pt.Stats)
 		}
 	}
 	for _, h := range c.Net.Hosts {
-		m.FaultDrops += h.NIC.Stats.FaultDrops
-		m.ImpairDrops += h.NIC.Stats.ImpairDrops
-		m.CorruptDrops += h.NIC.Stats.CorruptDrops
-		m.CtrlStormDrops += h.NIC.Stats.StormDrops
+		port(&h.NIC.Stats)
 	}
 	for _, a := range c.Accels {
 		m.MFTWipes += a.Stats.MFTWipes
 		m.EpochRebuilds += a.Stats.EpochRebuilds
 		m.StaleMRPDropped += a.Stats.StaleMRPDropped
-		m.UnknownGroupDrops += a.Stats.UnknownGroupDrops
 		m.UnknownGroupNacks += a.Stats.UnknownGroupNacks
 	}
 	return m
 }
 
+// metricField names one Metrics field: key in String(), col in the
+// EnableSeries "fab/<col>" column.
+type metricField struct {
+	key, col string
+	get      func(*Metrics) uint64
+}
+
+// metricFields is the one name table for Metrics: every field once, in
+// String() order.
+var metricFields = [...]metricField{
+	{"dataDrops", "data-drops", func(m *Metrics) uint64 { return m.DataDrops }},
+	{"ctrlDrops", "ctrl-drops", func(m *Metrics) uint64 { return m.CtrlDrops }},
+	{"crashDrops", "crash-drops", func(m *Metrics) uint64 { return m.CrashDrops }},
+	{"noRouteDrops", "no-route-drops", func(m *Metrics) uint64 { return m.NoRouteDrops }},
+	{"faultDrops", "fault-drops", func(m *Metrics) uint64 { return m.FaultDrops }},
+	{"impairDrops", "impair-drops", func(m *Metrics) uint64 { return m.ImpairDrops }},
+	{"corruptDrops", "corrupt-drops", func(m *Metrics) uint64 { return m.CorruptDrops }},
+	{"ctrlStormDrops", "ctrl-storm-drops", func(m *Metrics) uint64 { return m.CtrlStormDrops }},
+	{"mftWipes", "mft-wipes", func(m *Metrics) uint64 { return m.MFTWipes }},
+	{"epochRebuilds", "epoch-rebuilds", func(m *Metrics) uint64 { return m.EpochRebuilds }},
+	{"staleMRPDropped", "stale-mrp", func(m *Metrics) uint64 { return m.StaleMRPDropped }},
+	{"unknownGroupDrops", "unknown-group-drops", func(m *Metrics) uint64 { return m.UnknownGroupDrops }},
+	{"unknownGroupNacks", "unknown-group-nacks", func(m *Metrics) uint64 { return m.UnknownGroupNacks }},
+}
+
+// seriesOrder is the fab/* column order, as indices into metricFields. The
+// gray-failure columns were added after the others and stay last, so CSV
+// headers are stable across versions.
+var seriesOrder = [...]int{0, 1, 2, 3, 4, 8, 9, 10, 11, 12, 5, 6, 7}
+
 // String renders the non-zero counters compactly.
 func (m Metrics) String() string {
-	s := ""
-	add := func(name string, v uint64) {
-		if v > 0 {
-			if s != "" {
-				s += " "
+	var b strings.Builder
+	for _, f := range metricFields {
+		if v := f.get(&m); v > 0 {
+			if b.Len() > 0 {
+				b.WriteByte(' ')
 			}
-			s += fmt.Sprintf("%s=%d", name, v)
+			fmt.Fprintf(&b, "%s=%d", f.key, v)
 		}
 	}
-	add("dataDrops", m.DataDrops)
-	add("ctrlDrops", m.CtrlDrops)
-	add("crashDrops", m.CrashDrops)
-	add("noRouteDrops", m.NoRouteDrops)
-	add("faultDrops", m.FaultDrops)
-	add("impairDrops", m.ImpairDrops)
-	add("corruptDrops", m.CorruptDrops)
-	add("ctrlStormDrops", m.CtrlStormDrops)
-	add("mftWipes", m.MFTWipes)
-	add("epochRebuilds", m.EpochRebuilds)
-	add("staleMRPDropped", m.StaleMRPDropped)
-	add("unknownGroupDrops", m.UnknownGroupDrops)
-	add("unknownGroupNacks", m.UnknownGroupNacks)
-	if s == "" {
+	if b.Len() == 0 {
 		return "clean"
 	}
-	return s
+	return b.String()
 }
 
 // SetControlLossRate injects random control-plane loss (MRP, confirmations,

@@ -3,67 +3,59 @@ package cepheus
 import (
 	"reflect"
 	"testing"
-
-	"repro/internal/core"
-	"repro/internal/obs"
 )
 
-// fcounterField maps every fabric counter to the Metrics field it must
-// land in. The mapping test walks this table AND asserts exhaustiveness in
-// both directions, so adding an FCounter without wiring it through
-// Cluster.Metrics() (or a Metrics field without a counter) fails here
-// instead of silently reading zero forever.
-var fcounterField = map[obs.FCounter]string{
-	obs.FDataDrops:         "DataDrops",
-	obs.FCtrlDrops:         "CtrlDrops",
-	obs.FCrashDrops:        "CrashDrops",
-	obs.FNoRouteDrops:      "NoRouteDrops",
-	obs.FFaultDrops:        "FaultDrops",
-	obs.FMFTWipes:          "MFTWipes",
-	obs.FEpochRebuilds:     "EpochRebuilds",
-	obs.FStaleMRPDropped:   "StaleMRPDropped",
-	obs.FUnknownGroupDrops: "UnknownGroupDrops",
-	obs.FUnknownGroupNacks: "UnknownGroupNacks",
-	obs.FImpairDrops:       "ImpairDrops",
-	obs.FCorruptDrops:      "CorruptDrops",
-	obs.FStormDrops:        "CtrlStormDrops",
-}
-
-// TestMetricsFieldMapping: incrementing each fabric counter moves exactly
-// its Metrics field by exactly one, and the counter set and the Metrics
-// struct stay in one-to-one correspondence.
+// TestMetricsFieldMapping: the metricFields name table covers every Metrics
+// field exactly once, String() names all of them in the table's order, and
+// seriesOrder places every table entry in exactly one fab/* column.
 func TestMetricsFieldMapping(t *testing.T) {
-	if got, want := len(fcounterField), int(obs.NumFCounters); got != want {
-		t.Fatalf("mapping table covers %d counters, obs declares %d — update fcounterField and Cluster.Metrics()", got, want)
+	typ := reflect.TypeOf(Metrics{})
+	if got, want := len(metricFields), typ.NumField(); got != want {
+		t.Fatalf("metricFields has %d entries, Metrics has %d fields", got, want)
 	}
-	if got, want := reflect.TypeOf(Metrics{}).NumField(), int(obs.NumFCounters); got != want {
-		t.Fatalf("Metrics has %d fields, obs declares %d counters — update Metrics and Cluster.Metrics()", got, want)
-	}
-	core.ResetMcstIDs()
-	c := NewTestbed(2, Options{Seed: 1})
-	defer c.Close()
-	for fc := obs.FCounter(0); fc < obs.NumFCounters; fc++ {
-		want, ok := fcounterField[fc]
-		if !ok {
-			t.Fatalf("counter %v (%d) missing from fcounterField", fc, fc)
+	for i := 0; i < typ.NumField(); i++ {
+		var m Metrics
+		reflect.ValueOf(&m).Elem().Field(i).SetUint(1)
+		hits := 0
+		for _, f := range metricFields {
+			hits += int(f.get(&m))
 		}
-		before := c.Metrics()
-		c.Fab.LP(0).Inc(fc)
-		after := c.Metrics()
-		bv, av := reflect.ValueOf(before), reflect.ValueOf(after)
-		for i := 0; i < bv.NumField(); i++ {
-			name := bv.Type().Field(i).Name
-			delta := av.Field(i).Uint() - bv.Field(i).Uint()
-			switch {
-			case name == want && delta != 1:
-				t.Errorf("Inc(%v): Metrics.%s moved by %d, want 1", fc, name, delta)
-			case name != want && delta != 0:
-				t.Errorf("Inc(%v): Metrics.%s moved by %d, want 0 (only %s should move)", fc, name, delta, want)
-			}
+		if hits != 1 {
+			t.Errorf("Metrics.%s is read by %d metricFields entries, want 1", typ.Field(i).Name, hits)
 		}
 	}
-	// Every counter incremented once: the renderer must now name all of them.
-	if s := c.Metrics().String(); s == "clean" {
-		t.Fatalf("Metrics.String() = %q after incrementing every counter", s)
+	keys, cols := map[string]bool{}, map[string]bool{}
+	for _, f := range metricFields {
+		if keys[f.key] || cols[f.col] {
+			t.Errorf("duplicate name in metricFields: %q / %q", f.key, f.col)
+		}
+		keys[f.key], cols[f.col] = true, true
+	}
+	seen := make([]bool, len(metricFields))
+	for _, i := range seriesOrder {
+		if seen[i] {
+			t.Errorf("seriesOrder lists metricFields[%d] twice", i)
+		}
+		seen[i] = true
+	}
+	if len(seriesOrder) != len(metricFields) {
+		t.Errorf("seriesOrder has %d columns, metricFields %d entries", len(seriesOrder), len(metricFields))
+	}
+
+	// Every field set to its 1-based index: String() must name all of them,
+	// in the order golden digests and faultsim output have always used.
+	var m Metrics
+	v := reflect.ValueOf(&m).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		v.Field(i).SetUint(uint64(i + 1))
+	}
+	want := "dataDrops=1 ctrlDrops=2 crashDrops=3 noRouteDrops=4 faultDrops=5 " +
+		"impairDrops=6 corruptDrops=7 ctrlStormDrops=8 mftWipes=9 epochRebuilds=10 " +
+		"staleMRPDropped=11 unknownGroupDrops=12 unknownGroupNacks=13"
+	if got := m.String(); got != want {
+		t.Fatalf("Metrics.String() =\n %s\nwant\n %s", got, want)
+	}
+	if got := (Metrics{}).String(); got != "clean" {
+		t.Fatalf("zero Metrics.String() = %q, want clean", got)
 	}
 }

@@ -144,8 +144,9 @@ func (c *Cluster) EnableAudit() *obs.Auditor {
 
 // EnableSeries starts the periodic telemetry sampler and returns it, wired
 // with the cluster-wide defaults: aggregate and maximum egress queue depth,
-// and per-interval deltas of every fabric counter. Callers add more probes
-// (TrackPortDepths, TrackQPRates, or custom closures) before traffic starts.
+// and per-interval deltas of every Metrics counter (the fab/* columns, each
+// probe one Metrics walk). Callers add more probes (TrackPortDepths,
+// TrackQPRates, or custom closures) before traffic starts.
 // interval 0 selects 100µs; capacity 0 selects 4096 samples (the set
 // decimates and doubles its interval when full).
 //
@@ -191,10 +192,11 @@ func (c *Cluster) EnableSeries(interval sim.Time, capacity int) (*obs.SeriesSet,
 		}
 		return float64(m)
 	})
-	for fc := obs.FCounter(0); fc < obs.NumFCounters; fc++ {
-		fc := fc
-		s.TrackDelta("fab/"+fc.String(), func() float64 {
-			return float64(c.Fab.Total(fc))
+	for _, i := range seriesOrder {
+		f := metricFields[i]
+		s.TrackDelta("fab/"+f.col, func() float64 {
+			m := c.Metrics()
+			return float64(f.get(&m))
 		})
 	}
 	c.Series = s

@@ -2,19 +2,24 @@ package cepheus
 
 import (
 	"bytes"
+	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
-// TestMetricsFabricMatchesWalk drives a lossy workload with a crash/restart
-// cycle and checks that the sharded fabric counters Metrics() reads agree
-// exactly with a walk over every device's private counters.
-func TestMetricsFabricMatchesWalk(t *testing.T) {
+// dropScenario drives every kind of switch kill on a k=4 fat-tree: a 512 KiB
+// broadcast under 1% data and 0.5% control loss, then a second one through a
+// core-switch crash and restart (crash drops, MFT wipes, unknown-group drops
+// and NACKs). enable turns sinks on before any traffic.
+func dropScenario(t *testing.T, enable func(c *Cluster)) *Cluster {
+	t.Helper()
 	core.ResetMcstIDs()
 	c := NewFatTree(4, Options{Seed: 7})
-	defer c.Close()
+	enable(c)
 	members := []int{0, 3, 6, 9, 12, 15}
 	b, err := c.Broadcaster(SchemeCepheus, members, 0)
 	if err != nil {
@@ -25,25 +30,140 @@ func TestMetricsFabricMatchesWalk(t *testing.T) {
 	if _, err := c.RunBcastErr(b, 0, 512<<10); err != nil {
 		t.Fatal(err)
 	}
-	// Crash a core switch mid-flight of a second transfer, then restart it:
-	// exercises crash drops, MFT wipes, unknown-group drops and NACKs.
-	sw := c.Net.Switches[len(c.Net.Switches)-1]
-	var done bool
-	b.Bcast(0, 512<<10, func() { done = true })
-	c.Eng.RunFor(50 * sim.Microsecond)
+	// Crash the last core switch that holds the group's MFT (cores are the
+	// last switches in topology order), mid-transfer.
+	i := len(c.Net.Switches) - 1
+	for c.Accels[i].Groups() == 0 {
+		i--
+	}
+	sw := c.Net.Switches[i]
+	b.Bcast(0, 512<<10, func() {}) // may or may not finish around the crash
+	c.Eng.RunFor(10 * sim.Microsecond)
 	sw.Crash()
 	c.Eng.RunFor(200 * sim.Microsecond)
 	sw.Restart()
-	c.Eng.RunFor(5 * sim.Millisecond)
-	_ = done // the transfer may or may not finish around the crash; irrelevant here
-	c.Eng.RunFor(1 * sim.Millisecond)
+	c.Eng.RunFor(6 * sim.Millisecond)
+	return c
+}
 
-	got, want := c.Metrics(), c.metricsWalk()
-	if got != want {
-		t.Fatalf("fabric metrics diverge from device walk:\n fabric: %+v\n   walk: %+v", got, want)
+// TestDropSinksAgree checks that every sink a kill is booked into tells the
+// same story: per-reason KDrop counts in the trace equal the Metrics fields
+// (and port drop-tail Drops), and group attribution's dropped frames and
+// bytes equal the trace's multicast-keyed drops.
+func TestDropSinksAgree(t *testing.T) {
+	c := dropScenario(t, func(c *Cluster) {
+		c.EnableTrace(1 << 21)
+		c.EnableGroupStats(0)
+	})
+	defer c.Close()
+	if lost := c.Rec.Lost(); lost != 0 {
+		t.Fatalf("recorder lost %d events; the comparison needs the full history", lost)
 	}
-	if got.DataDrops == 0 || got.CtrlDrops == 0 {
-		t.Fatalf("workload did not exercise loss counters: %v", got)
+	traced := map[obs.Reason]uint64{}
+	var gPkts uint64
+	var gBytes int64
+	for _, e := range c.Rec.Events() {
+		if e.Kind != obs.KDrop {
+			continue
+		}
+		traced[e.Reason]++
+		if obs.IsGroupAddr(e.Dst) || obs.IsGroupAddr(e.Src) {
+			gPkts++
+			gBytes += e.B
+		}
+	}
+
+	m := c.Metrics()
+	var tailDrops uint64
+	for _, sw := range c.Net.Switches {
+		for _, pt := range sw.Ports {
+			tailDrops += pt.Stats.Drops
+		}
+	}
+	for _, h := range c.Net.Hosts {
+		tailDrops += h.NIC.Stats.Drops
+	}
+	want := map[obs.Reason]uint64{
+		obs.RQueueLimit:   tailDrops,
+		obs.RLoss:         m.DataDrops,
+		obs.RCtrlLoss:     m.CtrlDrops,
+		obs.RCrash:        m.CrashDrops,
+		obs.RNoRoute:      m.NoRouteDrops,
+		obs.RFault:        m.FaultDrops,
+		obs.RUnknownGroup: m.UnknownGroupDrops,
+		obs.RImpairLoss:   m.ImpairDrops,
+		obs.RCorrupt:      m.CorruptDrops,
+		obs.RStormLoss:    m.CtrlStormDrops,
+	}
+	for r, n := range traced {
+		if _, ok := want[r]; !ok {
+			t.Errorf("trace has %d drops with reason %v, which no counter books", n, r)
+		}
+	}
+	for r, n := range want {
+		if traced[r] != n {
+			t.Errorf("reason %v: trace has %d drops, counters %d", r, traced[r], n)
+		}
+	}
+
+	var rPkts uint64
+	var rBytes int64
+	for _, g := range c.GroupReports() {
+		rPkts += g.DroppedPkts
+		rBytes += g.DroppedBytes
+	}
+	if rPkts != gPkts || rBytes != gBytes {
+		t.Errorf("group stats dropped %d frames / %d bytes, trace %d / %d", rPkts, rBytes, gPkts, gBytes)
+	}
+
+	if m.DataDrops == 0 || m.CtrlDrops == 0 || m.CrashDrops == 0 || m.UnknownGroupDrops == 0 || m.MFTWipes == 0 || gPkts == 0 {
+		t.Fatalf("workload did not exercise every sink: %v, %d group drops", m, gPkts)
+	}
+}
+
+// TestSeriesFabColumns: EnableSeries adds one fab/<name> delta column per
+// Metrics field, under stable names and in a stable order, and each column's
+// deltas sum to its field.
+func TestSeriesFabColumns(t *testing.T) {
+	var s *obs.SeriesSet
+	var last Metrics
+	c := dropScenario(t, func(c *Cluster) {
+		var err error
+		if s, err = c.EnableSeries(100*sim.Microsecond, 0); err != nil {
+			t.Fatal(err)
+		}
+		// Tracked after the fab/* columns, so last is the Metrics they saw
+		// at the final sample.
+		s.Track("test/last", func() float64 { last = c.Metrics(); return 0 })
+		s.Start()
+	})
+	defer c.Close()
+	want := []string{
+		"fab/data-drops", "fab/ctrl-drops", "fab/crash-drops", "fab/no-route-drops",
+		"fab/fault-drops", "fab/mft-wipes", "fab/epoch-rebuilds", "fab/stale-mrp",
+		"fab/unknown-group-drops", "fab/unknown-group-nacks", "fab/impair-drops",
+		"fab/corrupt-drops", "fab/ctrl-storm-drops",
+	}
+	var got []string
+	for _, n := range s.Names() {
+		if strings.HasPrefix(n, "fab/") {
+			got = append(got, n)
+		}
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("fab/* columns:\n got %v\nwant %v", got, want)
+	}
+	for _, f := range metricFields {
+		var sum float64
+		for _, v := range s.Values("fab/" + f.col) {
+			sum += v
+		}
+		if uint64(sum) != f.get(&last) {
+			t.Errorf("fab/%s deltas sum to %v, Metrics has %d", f.col, sum, f.get(&last))
+		}
+	}
+	if last.DataDrops == 0 || last.CrashDrops == 0 || last.MFTWipes == 0 {
+		t.Fatalf("series saw no drops: %v", last)
 	}
 }
 
