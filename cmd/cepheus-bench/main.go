@@ -359,7 +359,7 @@ func runBcast(c *cepheus.Cluster, b amcast.Broadcaster, root, size int, label st
 	rec.MaxQueueBytes = qd.Max
 	records = append(records, rec)
 	if *traceOut != "" {
-		if err := c.WriteTraceFile(*traceOut, true); err != nil {
+		if err := c.WriteTraceFile(*traceOut); err != nil {
 			fmt.Fprintf(os.Stderr, "%s/%s: trace export: %v\n", curExp, label, err)
 			os.Exit(1)
 		}
@@ -670,7 +670,7 @@ func fig14() {
 			ser.Samples(), len(ser.Names()), time.Duration(ser.Interval()), *seriesOut)
 	}
 	if *traceOut != "" {
-		if err := c.WriteTraceFile(*traceOut, true); err != nil {
+		if err := c.WriteTraceFile(*traceOut); err != nil {
 			fmt.Fprintf(os.Stderr, "fig14: trace export: %v\n", err)
 			os.Exit(1)
 		}

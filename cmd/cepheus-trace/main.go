@@ -8,6 +8,7 @@
 //	cepheus-trace -kind DROP -reason qlimit t.jsonl
 //	cepheus-trace -dev core-0 -from 2ms -to 5ms t.jsonl
 //	cepheus-trace -group 1 t.jsonl                # events of multicast group 1
+//	cepheus-trace -summary -diff b.jsonl a.jsonl  # census deltas a -> b, same filters
 //
 // Subcommands:
 //
@@ -28,8 +29,10 @@
 //	    (Jain's index, p99 isolation gap), optional SLO evaluation with a
 //	    breach timeline (breaches exit 1, for CI gates)
 //
-// Empty, truncated, or corrupt input exits 2 with a one-line diagnosis on
-// stderr — never an empty report.
+// Exit status: 0 on success; 1 when a census diff finds a difference or a
+// group breaches its SLO (for CI gates); 2 on any error — a bad flag value,
+// or empty, truncated or corrupt input — with a one-line diagnosis on
+// stderr, never an empty report.
 package main
 
 import (
@@ -56,121 +59,41 @@ var (
 	group   = flag.Int("group", -1, "keep only this multicast group id (dst 224.0.0.<id>)")
 	from    = flag.Duration("from", 0, "keep events at or after this virtual time")
 	to      = flag.Duration("to", 0, "keep events at or before this virtual time (0: no bound)")
-	diff    = flag.String("diff", "", "compare against this second trace: print census deltas")
+	diff    = flag.String("diff", "", "compare against this second trace: print census deltas, exit 1 if any")
 )
 
-// line mirrors the obs JSONL export schema.
-type line struct {
-	T      int64  `json:"t"`
-	Dev    string `json:"dev"`
-	Port   int    `json:"port"`
-	Kind   string `json:"kind"`
-	Reason string `json:"reason"`
-	PT     string `json:"pt"`
-	Src    string `json:"src"`
-	Dst    string `json:"dst"`
-	SQP    uint32 `json:"sqp"`
-	DQP    uint32 `json:"dqp"`
-	PSN    uint64 `json:"psn"`
-	Msg    uint64 `json:"msg"`
-	A      int64  `json:"a"`
-	B      int64  `json:"b"`
-}
-
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "cepheus-trace: "+format+"\n", args...)
-	os.Exit(1)
-}
-
-// fatal2 diagnoses unusable input (empty, truncated, corrupt) in one line
-// and exits 2 — the contract every subcommand shares, so a pipeline that
-// fed us garbage can tell "bad input" (2) apart from "real difference" (1).
-func fatal2(format string, args ...any) {
+// fatal diagnoses an error in one line and exits 2, so a pipeline that fed
+// us garbage can tell "bad input" (2) apart from "real difference" (1).
+func fatal(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "cepheus-trace: "+format+"\n", args...)
 	os.Exit(2)
 }
 
-func load(path string) []line {
-	f, err := os.Open(path)
-	if err != nil {
-		fatal2("%v", err)
-	}
-	defer f.Close()
-	var out []line
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	n := 0
-	for sc.Scan() {
-		n++
-		if len(sc.Bytes()) == 0 {
-			continue
-		}
-		var l line
-		if err := json.Unmarshal(sc.Bytes(), &l); err != nil {
-			fatal2("%s:%d: truncated or corrupt trace: %v", path, n, err)
-		}
-		out = append(out, l)
-	}
-	if err := sc.Err(); err != nil {
-		fatal2("%s: truncated trace: %v", path, err)
-	}
-	if len(out) == 0 {
-		fatal2("%s: empty trace (no events)", path)
-	}
-	return out
+// trace is one decoded JSONL export.
+type trace struct {
+	path  string
+	evs   []obs.Event
+	names []string
 }
 
-// toEvents converts JSONL lines back into obs events, assigning device ids
-// in first-seen order (the export is already in canonical order, so the
-// numbering — and everything derived from it — is deterministic). The
-// returned names function inverts the assignment for rendering.
-func toEvents(ls []line) ([]obs.Event, func(uint32) string) {
-	ids := make(map[string]uint32)
-	var names []string
-	evs := make([]obs.Event, 0, len(ls))
-	for i := range ls {
-		l := &ls[i]
-		id, ok := ids[l.Dev]
-		if !ok {
-			id = uint32(len(names))
-			ids[l.Dev] = id
-			names = append(names, l.Dev)
-		}
-		k, ok := obs.KindByName(l.Kind)
-		if !ok {
-			fatal2("line %d: corrupt trace: unknown kind %q", i+1, l.Kind)
-		}
-		r := obs.RNone
-		if l.Reason != "" {
-			if r, ok = obs.ReasonByName(l.Reason); !ok {
-				fatal2("line %d: corrupt trace: unknown reason %q", i+1, l.Reason)
-			}
-		}
-		pt, ok := obs.PktTypeByName(l.PT)
-		if !ok {
-			fatal2("line %d: corrupt trace: unknown packet type %q", i+1, l.PT)
-		}
-		src, ok := obs.ParseAddr(l.Src)
-		if !ok {
-			fatal2("line %d: corrupt trace: bad src address %q", i+1, l.Src)
-		}
-		dstA, ok := obs.ParseAddr(l.Dst)
-		if !ok {
-			fatal2("line %d: corrupt trace: bad dst address %q", i+1, l.Dst)
-		}
-		evs = append(evs, obs.Event{
-			At: sim.Time(l.T), Seq: uint32(i), Dev: id, Port: int16(l.Port),
-			Kind: k, Reason: r, PT: pt, Src: src, Dst: dstA,
-			SrcQP: l.SQP, DstQP: l.DQP, PSN: l.PSN, Msg: l.Msg, A: l.A, B: l.B,
-		})
+func load(path string) *trace {
+	f, err := os.Open(path)
+	if err != nil {
+		fatal("%v", err)
 	}
-	return evs, func(d uint32) string {
-		if int(d) < len(names) {
-			return names[d]
-		}
-		return "?"
+	defer f.Close()
+	evs, names, err := obs.ReadJSONL(f)
+	if err != nil {
+		fatal("%s: truncated or corrupt trace: %v", path, err)
 	}
+	if len(evs) == 0 {
+		fatal("%s: empty trace (no events)", path)
+	}
+	return &trace{path: path, evs: evs, names: names}
 }
+
+// name renders a device id; it is the names function the obs renderers take.
+func (t *trace) name(d uint32) string { return t.names[d] }
 
 // parseMsg inverts obs.MsgString ("a.b.c.d#n").
 func parseMsg(s string) (uint64, error) {
@@ -189,49 +112,81 @@ func parseMsg(s string) (uint64, error) {
 	return uint64(origin)<<32 | ctr, nil
 }
 
-func (l *line) keep() bool {
-	if *kind != "" && l.Kind != *kind {
-		return false
+// groupAddr maps a -group id to its multicast address (0: no selection).
+func groupAddr(id int) uint32 {
+	if id < 0 {
+		return 0
 	}
-	if *reason != "" && l.Reason != *reason {
-		return false
-	}
-	if *dev != "" && l.Dev != *dev {
-		return false
-	}
-	if *dst != "" && l.Dst != *dst {
-		return false
-	}
-	if *group >= 0 && l.Dst != obs.AddrString(0xE0000000+uint32(*group)) {
-		return false
-	}
-	if *from > 0 && l.T < int64(*from) {
-		return false
-	}
-	if *to > 0 && l.T > int64(*to) {
-		return false
-	}
-	return true
+	return 0xE0000000 + uint32(id)
 }
 
-func filter(ls []line) []line {
-	out := ls[:0]
-	for i := range ls {
-		if ls[i].keep() {
-			out = append(out, ls[i])
+// selection is the listing/census filter, parsed once from the flags.
+type selection struct {
+	kind     obs.Kind
+	anyKind  bool
+	reason   obs.Reason // RNone: any
+	dev      string
+	dst      uint32
+	anyDst   bool
+	group    uint32 // 0: any
+	from, to sim.Time
+}
+
+func parseSelection() selection {
+	sel := selection{anyKind: true, anyDst: true, dev: *dev, group: groupAddr(*group),
+		from: sim.Time(*from), to: sim.Time(*to)}
+	var ok bool
+	if *kind != "" {
+		if sel.kind, ok = obs.KindByName(*kind); !ok {
+			fatal("-kind: unknown event kind %q", *kind)
+		}
+		sel.anyKind = false
+	}
+	if *reason != "" {
+		if sel.reason, ok = obs.ReasonByName(*reason); !ok {
+			fatal("-reason: unknown drop reason %q", *reason)
 		}
 	}
-	return out
+	if *dst != "" {
+		if sel.dst, ok = obs.ParseAddr(*dst); !ok {
+			fatal("-dst: bad address %q (want a dotted quad)", *dst)
+		}
+		sel.anyDst = false
+	}
+	return sel
+}
+
+func (s *selection) keep(t *trace, e *obs.Event) bool {
+	return (s.anyKind || e.Kind == s.kind) &&
+		(s.reason == obs.RNone || e.Reason == s.reason) &&
+		(s.dev == "" || t.names[e.Dev] == s.dev) &&
+		(s.anyDst || e.Dst == s.dst) &&
+		(s.group == 0 || e.Dst == s.group) &&
+		(s.from <= 0 || e.At >= s.from) &&
+		(s.to <= 0 || e.At <= s.to)
+}
+
+// apply filters t's events in place.
+func (s *selection) apply(t *trace) *trace {
+	out := t.evs[:0]
+	for i := range t.evs {
+		if s.keep(t, &t.evs[i]) {
+			out = append(out, t.evs[i])
+		}
+	}
+	t.evs = out
+	return t
 }
 
 // census keys events by device/kind (plus the reason for drops, where the
 // reason is the interesting part).
-func census(ls []line) map[string]int {
+func census(t *trace) map[string]int {
 	m := make(map[string]int)
-	for i := range ls {
-		k := ls[i].Dev + " " + ls[i].Kind
-		if ls[i].Reason != "" {
-			k += "[" + ls[i].Reason + "]"
+	for i := range t.evs {
+		e := &t.evs[i]
+		k := t.names[e.Dev] + " " + e.Kind.String()
+		if e.Reason != obs.RNone {
+			k += "[" + e.Reason.String() + "]"
 		}
 		m[k]++
 	}
@@ -247,24 +202,19 @@ func sortedKeys(m map[string]int) []string {
 	return ks
 }
 
-func printCensus(ls []line) {
-	m := census(ls)
+func printCensus(t *trace) {
+	m := census(t)
 	for _, k := range sortedKeys(m) {
 		fmt.Printf("%8d  %s\n", m[k], k)
 	}
-	var lo, hi int64
-	if len(ls) > 0 {
-		lo, hi = ls[0].T, ls[0].T
-		for i := range ls {
-			if ls[i].T < lo {
-				lo = ls[i].T
-			}
-			if ls[i].T > hi {
-				hi = ls[i].T
-			}
+	var lo, hi sim.Time
+	if len(t.evs) > 0 {
+		lo, hi = t.evs[0].At, t.evs[0].At
+		for i := range t.evs {
+			lo, hi = min(lo, t.evs[i].At), max(hi, t.evs[i].At)
 		}
 	}
-	fmt.Printf("%8d  total over %v..%v\n", len(ls), time.Duration(lo), time.Duration(hi))
+	fmt.Printf("%8d  total over %v..%v\n", len(t.evs), time.Duration(lo), time.Duration(hi))
 }
 
 // censusDelta is one diverging census row, also the -json element schema.
@@ -275,56 +225,65 @@ type censusDelta struct {
 	Delta int    `json:"delta"`
 }
 
-func censusDeltas(a, b []line) []censusDelta {
+// diffCensus prints the census deltas from a to b, as text or JSON, and
+// exits 1 if there are any: the one rule both diff forms gate CI on.
+func diffCensus(a, b *trace, jsonOut bool) {
 	ca, cb := census(a), census(b)
-	keys := make(map[string]bool)
-	for k := range ca {
-		keys[k] = true
-	}
 	for k := range cb {
-		keys[k] = true
-	}
-	ks := make([]string, 0, len(keys))
-	for k := range keys {
-		ks = append(ks, k)
-	}
-	sort.Strings(ks)
-	var out []censusDelta
-	for _, k := range ks {
-		if ca[k] != cb[k] {
-			out = append(out, censusDelta{Key: k, A: ca[k], B: cb[k], Delta: cb[k] - ca[k]})
+		if _, ok := ca[k]; !ok {
+			ca[k] = 0
 		}
 	}
-	return out
+	var ds []censusDelta
+	for _, k := range sortedKeys(ca) {
+		if ca[k] != cb[k] {
+			ds = append(ds, censusDelta{Key: k, A: ca[k], B: cb[k], Delta: cb[k] - ca[k]})
+		}
+	}
+	if jsonOut {
+		out := struct {
+			A       string        `json:"a"`
+			B       string        `json:"b"`
+			EventsA int           `json:"events_a"`
+			EventsB int           `json:"events_b"`
+			Equal   bool          `json:"equal"`
+			Changed []censusDelta `json:"changed"`
+		}{a.path, b.path, len(a.evs), len(b.evs), len(ds) == 0, ds}
+		enc := json.NewEncoder(os.Stdout)
+		enc.SetIndent("", "  ")
+		if err := enc.Encode(out); err != nil {
+			fatal("%v", err)
+		}
+	} else {
+		for _, d := range ds {
+			fmt.Printf("%8d -> %-8d %+-8d %s\n", d.A, d.B, d.Delta, d.Key)
+		}
+		if len(ds) == 0 {
+			fmt.Printf("no census differences (%d events in %s, %d in %s)\n", len(a.evs), a.path, len(b.evs), b.path)
+		}
+	}
+	if len(ds) != 0 {
+		os.Exit(1)
+	}
 }
 
-func printDiff(a, b []line, pathA, pathB string) {
-	ds := censusDeltas(a, b)
-	for _, d := range ds {
-		fmt.Printf("%8d -> %-8d %+-8d %s\n", d.A, d.B, d.Delta, d.Key)
-	}
-	if len(ds) == 0 {
-		fmt.Printf("no census differences (%d events in %s, %d in %s)\n", len(a), pathA, len(b), pathB)
-	}
-}
-
-func printListing(ls []line) {
+func printListing(t *trace) {
 	w := bufio.NewWriter(os.Stdout)
 	defer w.Flush()
-	for i := range ls {
-		l := &ls[i]
-		fmt.Fprintf(w, "%-14v %-12s %-11s", time.Duration(l.T), l.Dev, l.Kind)
-		if l.Reason != "" {
-			fmt.Fprintf(w, " [%s]", l.Reason)
+	for i := range t.evs {
+		e := &t.evs[i]
+		fmt.Fprintf(w, "%-14v %-12s %-11s", time.Duration(e.At), t.names[e.Dev], e.Kind)
+		if e.Reason != obs.RNone {
+			fmt.Fprintf(w, " [%s]", e.Reason)
 		}
-		if l.Port >= 0 {
-			fmt.Fprintf(w, " port=%d", l.Port)
+		if e.Port >= 0 {
+			fmt.Fprintf(w, " port=%d", e.Port)
 		}
-		fmt.Fprintf(w, " %s %s > %s psn=%d", l.PT, l.Src, l.Dst, l.PSN)
-		if l.Msg != 0 {
-			fmt.Fprintf(w, " msg=%s", obs.MsgString(l.Msg))
+		fmt.Fprintf(w, " %s %s > %s psn=%d", obs.PktTypeName(e.PT), obs.AddrString(e.Src), obs.AddrString(e.Dst), e.PSN)
+		if e.Msg != 0 {
+			fmt.Fprintf(w, " msg=%s", obs.MsgString(e.Msg))
 		}
-		fmt.Fprintf(w, " a=%d b=%d\n", l.A, l.B)
+		fmt.Fprintf(w, " a=%d b=%d\n", e.A, e.B)
 	}
 }
 
@@ -365,6 +324,18 @@ func filterEvents(evs []obs.Event, msg uint64, groupAddr uint32, from, to sim.Ti
 	return out
 }
 
+// parseMsgFlag parses a -msg value (empty: no selection).
+func parseMsgFlag(s string) uint64 {
+	if s == "" {
+		return 0
+	}
+	msg, err := parseMsg(s)
+	if err != nil {
+		fatal("-msg: %v", err)
+	}
+	return msg
+}
+
 func cmdSpans(args []string) {
 	fs := flag.NewFlagSet("spans", flag.ExitOnError)
 	msgF := fs.String("msg", "", "only this message (origin#counter, e.g. 10.0.0.1#3)")
@@ -377,25 +348,15 @@ func cmdSpans(args []string) {
 		fs.PrintDefaults()
 		os.Exit(2)
 	}
-	var msg uint64
-	if *msgF != "" {
-		var err error
-		if msg, err = parseMsg(*msgF); err != nil {
-			fatalf("%v", err)
-		}
-	}
-	var groupAddr uint32
-	if *groupF >= 0 {
-		groupAddr = 0xE0000000 + uint32(*groupF)
-	}
-	evs, names := toEvents(load(fs.Arg(0)))
-	evs = filterEvents(evs, msg, groupAddr, sim.Time(*fromF), sim.Time(*toF))
+	msg := parseMsgFlag(*msgF)
+	t := load(fs.Arg(0))
+	evs := filterEvents(t.evs, msg, groupAddr(*groupF), sim.Time(*fromF), sim.Time(*toF))
 	spans := obs.BuildSpans(evs)
 	if len(spans) == 0 {
-		fatal2("no spans (trace has no message-tagged events in the selection)")
+		fatal("no spans (trace has no message-tagged events in the selection)")
 	}
-	if err := obs.WriteSpans(os.Stdout, spans, names); err != nil {
-		fatalf("%v", err)
+	if err := obs.WriteSpans(os.Stdout, spans, t.name); err != nil {
+		fatal("%v", err)
 	}
 }
 
@@ -416,19 +377,12 @@ func cmdTimeline(args []string) {
 		From:  sim.Time(*fromF),
 		To:    sim.Time(*toF),
 		Width: *widthF,
+		Msg:   parseMsgFlag(*msgF),
+		Group: groupAddr(*groupF),
 	}
-	if *msgF != "" {
-		var err error
-		if opt.Msg, err = parseMsg(*msgF); err != nil {
-			fatalf("%v", err)
-		}
-	}
-	if *groupF >= 0 {
-		opt.Group = 0xE0000000 + uint32(*groupF)
-	}
-	evs, names := toEvents(load(fs.Arg(0)))
-	if err := obs.WriteTimeline(os.Stdout, evs, names, opt); err != nil {
-		fatalf("%v", err)
+	t := load(fs.Arg(0))
+	if err := obs.WriteTimeline(os.Stdout, t.evs, t.name, opt); err != nil {
+		fatal("%v", err)
 	}
 }
 
@@ -441,28 +395,7 @@ func cmdDiff(args []string) {
 		fs.PrintDefaults()
 		os.Exit(2)
 	}
-	a, b := load(fs.Arg(0)), load(fs.Arg(1))
-	ds := censusDeltas(a, b)
-	if *jsonF {
-		out := struct {
-			A       string        `json:"a"`
-			B       string        `json:"b"`
-			EventsA int           `json:"events_a"`
-			EventsB int           `json:"events_b"`
-			Equal   bool          `json:"equal"`
-			Changed []censusDelta `json:"changed"`
-		}{fs.Arg(0), fs.Arg(1), len(a), len(b), len(ds) == 0, ds}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(out); err != nil {
-			fatalf("%v", err)
-		}
-	} else {
-		printDiff(a, b, fs.Arg(0), fs.Arg(1))
-	}
-	if len(ds) != 0 {
-		os.Exit(1)
-	}
+	diffCensus(load(fs.Arg(0)), load(fs.Arg(1)), *jsonF)
 }
 
 // profEntry mirrors cepheus-bench's -pdesprof output element.
@@ -485,14 +418,14 @@ func cmdPdes(args []string) {
 	}
 	buf, err := os.ReadFile(fs.Arg(0))
 	if err != nil {
-		fatal2("%v", err)
+		fatal("%v", err)
 	}
 	if len(buf) == 0 {
-		fatal2("%s: empty profile file", fs.Arg(0))
+		fatal("%s: empty profile file", fs.Arg(0))
 	}
 	var entries []profEntry
 	if err := json.Unmarshal(buf, &entries); err != nil {
-		fatal2("%s: truncated or corrupt profile: %v", fs.Arg(0), err)
+		fatal("%s: truncated or corrupt profile: %v", fs.Arg(0), err)
 	}
 	var keep []profEntry
 	for _, e := range entries {
@@ -508,13 +441,13 @@ func cmdPdes(args []string) {
 		keep = append(keep, e)
 	}
 	if len(keep) == 0 {
-		fatal2("%s: no executor profiles match the selection (%d entries in file)", fs.Arg(0), len(entries))
+		fatal("%s: no executor profiles match the selection (%d entries in file)", fs.Arg(0), len(entries))
 	}
 	if *jsonF {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(keep); err != nil {
-			fatalf("%v", err)
+			fatal("%v", err)
 		}
 		return
 	}
@@ -524,7 +457,7 @@ func cmdPdes(args []string) {
 		}
 		fmt.Printf("-- %s, workers=%d --\n", e.Experiment, e.Workers)
 		if err := obs.WriteExecReport(os.Stdout, e.Report); err != nil {
-			fatalf("%v", err)
+			fatal("%v", err)
 		}
 	}
 }
@@ -550,14 +483,14 @@ func cmdGroups(args []string) {
 	if *sloF != "" {
 		var err error
 		if obj, win, err = obs.ParseSLO(*sloF); err != nil {
-			fatalf("%v", err)
+			fatal("-slo: %v", err)
 		}
 		objFor = func(uint32) (obs.SLOObjective, bool) { return obj, true }
 	}
-	evs, _ := toEvents(load(fs.Arg(0)))
-	reps := obs.GroupReportsFromEvents(evs, sim.Time(*bucketF), objFor)
+	t := load(fs.Arg(0))
+	reps := obs.GroupReportsFromEvents(t.evs, sim.Time(*bucketF), objFor)
 	if len(reps) == 0 {
-		fatal2("%s: no multicast group traffic in trace (%d events)", fs.Arg(0), len(evs))
+		fatal("%s: no multicast group traffic in trace (%d events)", t.path, len(t.evs))
 	}
 	var results []obs.SLOResult
 	if objFor != nil {
@@ -578,7 +511,7 @@ func cmdGroups(args []string) {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(out); err != nil {
-			fatalf("%v", err)
+			fatal("%v", err)
 		}
 	} else {
 		obs.WriteGroupTable(os.Stdout, reps)
@@ -626,13 +559,14 @@ func main() {
 		flag.PrintDefaults()
 		os.Exit(2)
 	}
-	ls := filter(load(flag.Arg(0)))
+	sel := parseSelection()
+	t := sel.apply(load(flag.Arg(0)))
 	switch {
 	case *diff != "":
-		printDiff(ls, filter(load(*diff)), flag.Arg(0), *diff)
+		diffCensus(t, sel.apply(load(*diff)), false)
 	case *summary:
-		printCensus(ls)
+		printCensus(t)
 	default:
-		printListing(ls)
+		printListing(t)
 	}
 }

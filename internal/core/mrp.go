@@ -4,8 +4,28 @@ import (
 	"repro/internal/simnet"
 )
 
+// MRP body layout (Fig 5):
+//
+//	metadata: McstID(4) seq(1) total(1) epoch(2) = 8 bytes
+//	node record: IP(4) QPN(3) flags(1)           = 8 bytes
+//	  flags bit0 set: record is followed by MR info VA(8) RKey(4)
+//
+// The controller address is the packet's IP source (the leader host), so
+// it costs nothing on the wire; the record count is implied by the body
+// length. A 1500B IP MTU leaves 1500-20-8 = 1472 bytes of UDP payload:
+// 8 + 183*8 = 1472 — exactly the paper's 183-node chunking constant.
+// seq/total are single bytes (255 chunks × 183 records covers ~46K members,
+// far beyond the fabric sizes modeled), which frees two metadata bytes for
+// the registration epoch without giving up a node record per packet.
+// The simulator moves the typed payload and sizes every MRP packet from
+// this layout.
+const (
+	mrpMetaBytes = 8
+	mrpNodeBytes = 8
+	mrpMRBytes   = 12
+)
+
 // MRPMaxNodes is the maximum number of node records one MRP packet carries.
-// With a 1500B MTU and 8B per record plus metadata, the paper derives 183.
 const MRPMaxNodes = 183
 
 // NodeInfo is one member's connection (and MR) state as carried by MRP.
@@ -35,8 +55,17 @@ type MRPPayload struct {
 	Nodes  []NodeInfo
 }
 
-// wireBytes is the MRP payload size on the wire, from the Fig 5 codec.
-func (m *MRPPayload) wireBytes() int { return len(EncodeMRP(m)) }
+// wireBytes is the MRP payload size on the wire, from the Fig 5 layout: a
+// record carries MR info when it has a WRITE target.
+func (m *MRPPayload) wireBytes() int {
+	n := mrpMetaBytes + len(m.Nodes)*mrpNodeBytes
+	for i := range m.Nodes {
+		if m.Nodes[i].WVA != 0 || m.Nodes[i].WRKey != 0 {
+			n += mrpMRBytes
+		}
+	}
+	return n
+}
 
 // newMRPPacket builds a pooled MRP packet for a payload. MRP is UDP-based
 // with dstIP = McstID so switches classify it like other group traffic.

@@ -333,8 +333,3 @@ func (in *Injector) CrashAt(t sim.Time, sw *simnet.Switch) {
 func (in *Injector) RestartAt(t sim.Time, sw *simnet.Switch) {
 	in.eng.Schedule(t, func() { in.RestartSwitch(sw) })
 }
-
-// FlapAt schedules Flap at t.
-func (in *Injector) FlapAt(t sim.Time, pt *simnet.Port, downFor sim.Time) {
-	in.eng.Schedule(t, func() { in.Flap(pt, downFor) })
-}

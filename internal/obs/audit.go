@@ -42,14 +42,6 @@ type Auditor struct {
 	nviol      uint64
 	violations []Violation
 
-	// Injected-vs-anomalous drop classification: injected counts drops whose
-	// Reason marks deliberate loss (loss models, gray impairments, fail-stop
-	// faults); anomalous counts the protocol machinery's own discards (tail
-	// drops, no-route, unknown-group). The split lets a chaos soak assert
-	// "all loss was ours" without reading the trace back.
-	injected  uint64
-	anomalous uint64
-
 	sends    map[flowKey]*sendFlow
 	rxs      map[flowKey]*rxFlow
 	ports    map[portKey]*portState
@@ -214,11 +206,6 @@ func (a *Auditor) port(e *Event, delta int64) {
 // so the replayed depth must be exactly unperturbed — an impairment that
 // shifted queue accounting would be a port bug hiding behind injected loss.
 func (a *Auditor) drop(e *Event) {
-	if e.Reason.InjectedLoss() {
-		a.injected++
-	} else {
-		a.anomalous++
-	}
 	if e.Port >= 0 {
 		k := portKey{e.Dev, e.Port}
 		st := a.ports[k]
@@ -420,15 +407,6 @@ func (a *Auditor) mft(e *Event) {
 
 // Seen returns how many events the auditor has observed.
 func (a *Auditor) Seen() uint64 { return a.seen }
-
-// InjectedDrops returns how many observed drops carried an injected-loss
-// reason (loss models, gray impairments, fail-stop faults).
-func (a *Auditor) InjectedDrops() uint64 { return a.injected }
-
-// AnomalousDrops returns how many observed drops the protocol machinery
-// itself decided on (tail drop, no-route, unknown-group). Nonzero is not a
-// violation — tail drops are legal — but a lossless workload can assert zero.
-func (a *Auditor) AnomalousDrops() uint64 { return a.anomalous }
 
 // ViolationCount returns the exact number of violations (including any past
 // the retention cap).

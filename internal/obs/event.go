@@ -110,9 +110,6 @@ func KindByName(s string) (Kind, bool) {
 	return 0, false
 }
 
-// KindNames lists every kind name, for CLI help text.
-func KindNames() []string { return append([]string(nil), kindNames[:]...) }
-
 // Reason qualifies a KDrop event.
 type Reason uint8
 
@@ -149,19 +146,6 @@ const (
 var reasonNames = [...]string{
 	"", "qlimit", "loss", "ctrl-loss", "crash", "no-route", "fault", "unknown-group",
 	"impair-loss", "corrupt", "ctrl-storm",
-}
-
-// InjectedLoss reports whether r marks a deliberately injected discard (loss
-// models, gray impairments, fail-stop faults) as opposed to a drop the
-// protocol machinery itself decided on (tail drop, missing route, unknown
-// group). The auditor uses the distinction to keep injected loss from ever
-// reading as a protocol violation.
-func (r Reason) InjectedLoss() bool {
-	switch r {
-	case RLoss, RCtrlLoss, RCrash, RFault, RImpairLoss, RCorrupt, RStormLoss:
-		return true
-	}
-	return false
 }
 
 func (r Reason) String() string {

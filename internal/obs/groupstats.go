@@ -268,9 +268,6 @@ type GroupReport struct {
 // ID returns the small group number (Group - GroupAddrBase).
 func (r *GroupReport) ID() uint32 { return r.Group - GroupAddrBase }
 
-// Hist returns a copy of the merged per-message latency histogram.
-func (r *GroupReport) Hist() Histogram { return r.hist }
-
 // Snapshot merges every shard into one report per group, sorted by group
 // id. Only meaningful while the simulation is quiescent; the merge is
 // commutative sums and bucket-index keyed adds, so the result is identical

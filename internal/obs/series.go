@@ -185,32 +185,3 @@ func (s *SeriesSet) WriteCSV(w io.Writer) error {
 	}
 	return bw.Flush()
 }
-
-// WriteJSON writes {"interval_ns":…,"t":[…],"series":{name:[…],…}} with
-// deterministic float formatting and series in Track order.
-func (s *SeriesSet) WriteJSON(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "{\"interval_ns\":%d,\"t\":[", int64(s.interval))
-	for i, t := range s.t {
-		if i > 0 {
-			bw.WriteByte(',')
-		}
-		fmt.Fprintf(bw, "%d", int64(t))
-	}
-	fmt.Fprint(bw, "],\"series\":{")
-	for ci := range s.cols {
-		if ci > 0 {
-			bw.WriteByte(',')
-		}
-		fmt.Fprintf(bw, "%q:[", s.cols[ci].name)
-		for i, v := range s.cols[ci].v {
-			if i > 0 {
-				bw.WriteByte(',')
-			}
-			bw.WriteString(fmtF(v))
-		}
-		bw.WriteByte(']')
-	}
-	fmt.Fprintln(bw, "}}")
-	return bw.Flush()
-}

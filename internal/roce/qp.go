@@ -1,3 +1,9 @@
+// Package roce models the RoCE (RoCEv2) RC transport the paper relies on:
+// queue pairs, PSN-stamped packetization, cumulative ACKs with coalescing,
+// NACK-driven go-back-N retransmission, retransmission timeout, RDMA WRITE
+// header fields, CNP generation on ECN, and DCQCN rate control. It is the
+// commodity-RNIC stand-in the Cepheus accelerator must interoperate with
+// (see DESIGN.md §1).
 package roce
 
 import (

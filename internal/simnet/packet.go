@@ -98,8 +98,8 @@ type Packet struct {
 
 	// PSN is the packet sequence number for Data, the cumulative
 	// acknowledged PSN for Ack, and the expected PSN (ePSN) for Nack.
-	// Virtual (non-wrapping) PSNs are used internally; see roce/psn.go for
-	// the 24-bit wire arithmetic.
+	// PSNs are virtual (uint64, never wrapping); the simulator models no
+	// 24-bit wire encoding (DESIGN.md §1).
 	PSN uint64
 
 	// Payload is the application bytes carried; Size() adds wire overhead.

@@ -472,11 +472,6 @@ func (pt *Port) TxTime(n int) sim.Time {
 	return sim.Time(float64(n*8) / pt.RateBps * 1e9)
 }
 
-// Send enqueues p for transmission, applying ECN marking and drop-tail.
-func (pt *Port) Send(p *Packet) {
-	pt.enqueue(p, false)
-}
-
 // SendUrgent enqueues p at the head of the control queue, bypassing ECN
 // and the queue limit. It is used for PFC PAUSE/RESUME frames, which a
 // real switch emits from a dedicated high-priority path.
@@ -496,7 +491,8 @@ func (pt *Port) SendUrgent(p *Packet) {
 	pt.trySend()
 }
 
-func (pt *Port) enqueue(p *Packet, urgent bool) {
+// Send enqueues p for transmission, applying ECN marking and drop-tail.
+func (pt *Port) Send(p *Packet) {
 	size := p.Size()
 	if pt.down {
 		pt.drop(obs.RFault, p, int64(pt.qBytes))

@@ -6,7 +6,6 @@ import (
 	"os"
 
 	"repro/internal/obs"
-	"repro/internal/roce"
 	"repro/internal/sim"
 )
 
@@ -99,12 +98,6 @@ func (c *Cluster) GroupStats() *obs.GroupStats { return c.GS }
 // the cluster is quiescent (between runs).
 func (c *Cluster) GroupReports() []obs.GroupReport { return c.GS.Snapshot() }
 
-// GroupFairness derives the fairness report (Jain's index, max/min goodput
-// ratio, p99 isolation gap) from the current group snapshot.
-func (c *Cluster) GroupFairness() obs.FairnessReport {
-	return obs.Fairness(c.GS.Snapshot())
-}
-
 // auditDrainInterval is how often a sequential cluster drains recorder
 // shards through the auditor. Parallel clusters drain at every window
 // barrier already; sequential ones drain lazily at export, which would let
@@ -145,8 +138,8 @@ func (c *Cluster) EnableAudit() *obs.Auditor {
 // EnableSeries starts the periodic telemetry sampler and returns it, wired
 // with the cluster-wide defaults: aggregate and maximum egress queue depth,
 // and per-interval deltas of every Metrics counter (the fab/* columns, each
-// probe one Metrics walk). Callers add more probes (TrackPortDepths,
-// TrackQPRates, or custom closures) before traffic starts.
+// probe one Metrics walk). Callers add more probes (custom closures) before
+// traffic starts.
 // interval 0 selects 100µs; capacity 0 selects 4096 samples (the set
 // decimates and doubles its interval when full).
 //
@@ -203,60 +196,22 @@ func (c *Cluster) EnableSeries(interval sim.Time, capacity int) (*obs.SeriesSet,
 	return s, nil
 }
 
-// TrackPortDepths adds one queue-depth series per switch egress port
-// ("q/<switch>:<port>") and per host NIC ("q/<host>") to s. Call before
-// Start; intended for testbed/fat-tree scales where per-port series are
-// still plottable.
-func (c *Cluster) TrackPortDepths(s *obs.SeriesSet) {
-	for _, sw := range c.Net.Switches {
-		for _, pt := range sw.Ports {
-			pt := pt
-			s.Track(fmt.Sprintf("q/%s:%d", sw.Name, pt.ID), func() float64 {
-				return float64(pt.QueuedBytes())
-			})
-		}
-	}
-	for _, h := range c.Net.Hosts {
-		nic := h.NIC
-		s.Track("q/"+h.Name, func() float64 { return float64(nic.QueuedBytes()) })
-	}
-}
-
-// TrackQPRates adds one DCQCN-rate series per existing QP
-// ("rate/<host>/qp<N>", in Gbit/s) to s. Only QPs alive at call time are
-// tracked — set groups up first; QPs created later (recovery fallbacks) are
-// not retroactively added.
-func (c *Cluster) TrackQPRates(s *obs.SeriesSet) {
-	for i, r := range c.RNICs {
-		host := c.Net.Hosts[i].Name
-		r.EachQP(func(qp *roce.QP) {
-			s.Track(fmt.Sprintf("rate/%s/qp%d", host, qp.QPN), func() float64 {
-				return qp.Rate() / 1e9
-			})
-		})
-	}
-}
-
-// WriteTrace exports the recorded history to w: JSONL when jsonl is true,
-// pcap-like text otherwise. A convenience over Rec.Events + WriteJSONL.
-func (c *Cluster) WriteTrace(w io.Writer, jsonl bool) error {
+// WriteTrace exports the recorded history to w as JSONL. A convenience
+// over Rec.Events + WriteJSONL.
+func (c *Cluster) WriteTrace(w io.Writer) error {
 	if c.Rec == nil {
 		return nil
 	}
-	evs := c.Rec.Events()
-	if jsonl {
-		return c.Rec.WriteJSONL(w, evs)
-	}
-	return c.Rec.WriteText(w, evs)
+	return c.Rec.WriteJSONL(w, c.Rec.Events())
 }
 
 // WriteTraceFile is WriteTrace to a named file.
-func (c *Cluster) WriteTraceFile(path string, jsonl bool) error {
+func (c *Cluster) WriteTraceFile(path string) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := c.WriteTrace(f, jsonl); err != nil {
+	if err := c.WriteTrace(f); err != nil {
 		f.Close()
 		return err
 	}
